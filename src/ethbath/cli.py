@@ -15,9 +15,12 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .hamiltonian import (
     build_bath_hamiltonian,
     build_total_hamiltonian,
     model_spec_key,
+    pauli_register_operator,
     pauli_site_operator,
 )
 
@@ -53,26 +57,136 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str
-    system: SystemParams
-    bath: SpinChainParams
-    preset: str | None
-    coupling: CouplingSpec
-    state: dict
-    grid: dynamics.TimeGrid
-    eth_opts: dict
-    extra: dict
-    seed: int
-    out_dir: str
-    cache_dir: str | None
-    raw: dict = field(repr=False, default_factory=dict)
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+@dataclass(frozen=True)
+class BathModel:
+    """One model's pipeline, memoized on the instance.
+
+    The stages that do not depend on the bath state are cached properties: the
+    bath eigensystem, the total one, the coupling term's bath operator B in the
+    bath eigenbasis and the S(E) fit. The cheap stages that do depend on it
+    (E0 and beta, the bath preparation, the normalized |f(E0, omega)|^2 table
+    and the Lindblad generator) are methods. A model for another bath is
+    `dataclasses.replace(model, bath=...)`.
+    """
+
+    system: SystemParams
+    bath: SpinChainParams
+    coupling: CouplingSpec
+    cache_dir: str | None = None
+
+    @cached_property
+    def eig(self) -> spectra.EigenSystem:
+        key = model_spec_key(self.system, self.bath, None) + "#bath"
+        return spectra.cached_diagonalize(
+            lambda: build_bath_hamiltonian(self.bath), self.cache_dir, key
+        )
+
+    @cached_property
+    def total_eig(self) -> spectra.EigenSystem:
+        key = model_spec_key(self.system, self.bath, self.coupling) + "#total"
+        return spectra.cached_diagonalize(
+            lambda: build_total_hamiltonian(self.system, self.bath, self.coupling),
+            self.cache_dir, key,
+        )
+
+    @property
+    def term(self) -> tuple[str, int, str]:
+        """The coupling term (system axis, bath site, bath axis) the bath side models."""
+        _require(
+            len(self.coupling.terms) == 1,
+            "coupling: the bath and Lindblad sides model exactly one term, "
+            f"got {len(self.coupling.terms)}",
+        )
+        return self.coupling.terms[0]
+
+    @cached_property
+    def b_eig(self) -> np.ndarray:
+        _, site, axis = self.term
+        b = pauli_site_operator(self.bath.L, site, axis).matrix
+        return spectra.to_eigenbasis(b, self.eig)
+
+    @cached_property
+    def fit(self) -> thermo.EntropyFit:
+        return thermo.entropy_fit(thermo.density_of_states(self.eig), degree=2)
+
+    def e0(self, state: dict) -> float:
+        """Energy of the bath preparation: the explicit E, else the E where S'(E) = beta."""
+        fit = self.fit  # fitted for an explicit E too: a spectrum too small to fit fails here
+        if "E" in state:
+            return float(state["E"])
+        return thermo.energy_at_beta(fit, float(state.get("beta", 0.0)))
+
+    def beta(self, state: dict, e0: float) -> float:
+        if "E" in state:
+            return thermo.inverse_temperature(self.fit, e0)
+        return float(state.get("beta", 0.0))
+
+    def prepare(self, state: dict, e0: float, seed: int) -> states.PureState:
+        kind = state["kind"]
+        if kind == "eigenstate":
+            return states.eigenstate_preparation(self.eig, e0)
+        if kind == "typical_mc":
+            return states.typical_microcanonical_state(
+                self.eig, e0, float(state["deltaE"]), int(state.get("seed", seed))
+            )
+        return states.product_state_with_energy(self.bath, e0)
+
+    def table(self, e0: float, beta: float, eth_opts: dict) -> eth.SpectralFunctionTable:
+        """|f(E0, omega)|^2 normalized to the variance of B in the eigenstate nearest E0."""
+        table = eth.spectral_function(
+            self.b_eig, self.eig, e0,
+            window=float(eth_opts["window"]),
+            freq_bin=float(eth_opts["freq_bin"]),
+            min_states=int(eth_opts["min_states"]),
+        )
+        psi = states.eigenstate_preparation(self.eig, e0).amplitudes
+        row = psi @ self.b_eig  # row n of B, for that eigenstate n
+        var_b = float(np.sum(np.abs(row) ** 2) - np.real(row @ psi) ** 2)
+        return eth.normalize_spectral_function(table, var_b, beta)
+
+    def lindblad(
+        self, table: eth.SpectralFunctionTable, beta: float, psi_bath: states.PureState
+    ) -> tuple[dynamics.LindbladModel, dynamics.EffectiveSystem]:
+        """Lindblad generator of the mean-field-shifted system, coupled through the
+        term's system Pauli, with rates from `table`."""
+        s_op = pauli_register_operator(1, 0, self.term[0]).matrix
+        psi_e = psi_bath.to_energy_basis(self.eig).amplitudes
+        b_expect = float(np.real(np.vdot(psi_e, self.b_eig @ psi_e)))
+        kappa = self.coupling.kappa
+        effective = dynamics.mean_field_shift(self.system, kappa, b_expect, s_op)
+        lowering = dynamics.lowering_operators(effective.hamiltonian, s_op)
+        rate = partial(eth.transition_rate, table, kappa, beta)
+        return dynamics.build_lindblad(effective, lowering, rate), effective
+
+    def exact_evolve(
+        self, psi_sys: states.PureState, psi_bath: states.PureState, grid: dynamics.TimeGrid
+    ) -> dynamics.ReducedTrajectory:
+        """Exact reduced dynamics of the product state psi_sys (x) psi_bath."""
+        psi0 = states.PureState(
+            amplitudes=np.kron(
+                psi_sys.amplitudes, psi_bath.to_computational_basis(self.eig).amplitudes
+            ),
+            basis="computational",
+        )
+        return dynamics.exact_evolve(self.total_eig, psi0, grid)
+
+
+@dataclass
+class ExperimentConfig:
+    kind: str
+    model: BathModel
+    preset: str | None
+    state: dict
+    grid: dynamics.TimeGrid
+    eth_opts: dict
+    seed: int
+    out_dir: str
+    raw: dict = field(repr=False, default_factory=dict)
 
 
 def parse_config(kind: str, raw: dict, out_dir: str, cache_dir: str | None, seed: int | None) -> ExperimentConfig:
@@ -143,79 +257,9 @@ def parse_config(kind: str, raw: dict, out_dir: str, cache_dir: str | None, seed
         cache_dir = raw.get("cache_dir") or os.environ.get("ETHBATH_CACHE")
 
     return ExperimentConfig(
-        kind=kind, system=system, bath=bath, preset=preset, coupling=coupling,
-        state=state, grid=grid, eth_opts=eth_opts, extra=raw, seed=seed,
-        out_dir=out_dir, cache_dir=cache_dir, raw=raw,
+        kind=kind, model=BathModel(system, bath, coupling, cache_dir), preset=preset,
+        state=state, grid=grid, eth_opts=eth_opts, seed=seed, out_dir=out_dir, raw=raw,
     )
-
-
-# -- shared pipeline pieces ----------------------------------------------------
-
-
-def _bath_eigensystem(cfg: ExperimentConfig) -> spectra.EigenSystem:
-    key = model_spec_key(cfg.system, cfg.bath, None) + "#bath"
-    h = build_bath_hamiltonian(cfg.bath)
-    return spectra.cached_diagonalize(h, cfg.cache_dir, key)
-
-
-def _total_eigensystem(cfg: ExperimentConfig) -> spectra.EigenSystem:
-    key = model_spec_key(cfg.system, cfg.bath, cfg.coupling) + "#total"
-    h = build_total_hamiltonian(cfg.system, cfg.bath, cfg.coupling)
-    return spectra.cached_diagonalize(h, cfg.cache_dir, key)
-
-
-def _entropy_fit(eig: spectra.EigenSystem) -> thermo.EntropyFit:
-    return thermo.entropy_fit(thermo.density_of_states(eig), degree=2)
-
-
-def _target_energy(cfg: ExperimentConfig, eig: spectra.EigenSystem, fit: thermo.EntropyFit) -> float:
-    """Energy of the requested bath preparation: explicit E or via beta."""
-    if "E" in cfg.state:
-        return float(cfg.state["E"])
-    beta = float(cfg.state.get("beta", 0.0))
-    return thermo.energy_at_beta(fit, beta)
-
-
-def _prepare_bath_state(
-    cfg: ExperimentConfig, eig: spectra.EigenSystem, e_target: float
-) -> states.PureState:
-    kind = cfg.state["kind"]
-    if kind == "eigenstate":
-        return states.eigenstate_preparation(eig, e_target)
-    if kind == "typical_mc":
-        return states.typical_microcanonical_state(
-            eig, e_target, float(cfg.state["deltaE"]), int(cfg.state.get("seed", cfg.seed))
-        )
-    return states.product_state_with_energy(cfg.bath, e_target)
-
-
-def _bath_coupling_operator(cfg: ExperimentConfig) -> np.ndarray:
-    _, site, axis = cfg.coupling.terms[0]
-    return pauli_site_operator(cfg.bath.L, site, axis).matrix
-
-
-def _spectral_table(
-    cfg: ExperimentConfig,
-    eig: spectra.EigenSystem,
-    b_eig: np.ndarray,
-    e_target: float,
-    beta: float,
-) -> eth.SpectralFunctionTable:
-    table = eth.spectral_function(
-        b_eig, eig, e_target,
-        window=float(cfg.eth_opts["window"]),
-        freq_bin=float(cfg.eth_opts["freq_bin"]),
-        min_states=int(cfg.eth_opts["min_states"]),
-    )
-    n = states.nearest_eigenstate_index(eig, e_target)
-    var_b = float(np.sum(np.abs(b_eig[n, :]) ** 2) - np.real(b_eig[n, n]) ** 2)
-    return eth.normalize_spectral_function(table, var_b, beta)
-
-
-def _state_beta(cfg: ExperimentConfig, fit: thermo.EntropyFit, e_target: float) -> float:
-    if "E" in cfg.state:
-        return thermo.inverse_temperature(fit, e_target)
-    return float(cfg.state.get("beta", 0.0))
 
 
 # -- output helpers ------------------------------------------------------------
@@ -262,13 +306,11 @@ def _sha256(path: str) -> str:
 
 
 def _run_eth_stats(cfg: ExperimentConfig, out: str) -> list[str]:
-    eig = _bath_eigensystem(cfg)
-    b_eig = spectra.to_eigenbasis(_bath_coupling_operator(cfg), eig)
-    profile = eth.diagonal_profile(b_eig, eig)
-    fit = _entropy_fit(eig)
-    e0 = _target_energy(cfg, eig, fit)
-    beta = _state_beta(cfg, fit, e0)
-    table = _spectral_table(cfg, eig, b_eig, e0, beta)
+    model = cfg.model
+    profile = eth.diagonal_profile(model.b_eig, model.eig)
+    e0 = model.e0(cfg.state)
+    beta = model.beta(cfg.state, e0)
+    table = model.table(e0, beta, cfg.eth_opts)
 
     diag_path = os.path.join(out, "diagonals.csv")
     _write_csv(diag_path, "E,Bnn", zip(profile.energies, profile.values))
@@ -290,9 +332,9 @@ def _run_eth_stats(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def _run_thermo(cfg: ExperimentConfig, out: str) -> list[str]:
-    eig = _bath_eigensystem(cfg)
+    eig = cfg.model.eig
     dos = thermo.density_of_states(eig)
-    fit = thermo.entropy_fit(dos, degree=int(cfg.extra.get("thermo", {}).get("degree", 2)))
+    fit = thermo.entropy_fit(dos, degree=int(cfg.raw.get("thermo", {}).get("degree", 2)))
     rows = []
     for center, count in zip(dos.centers, dos.counts):
         if count == 0 or not (fit.e_lo <= center <= fit.e_hi):
@@ -313,21 +355,19 @@ def _run_thermo(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def _run_rates(cfg: ExperimentConfig, out: str) -> list[str]:
-    eig = _bath_eigensystem(cfg)
-    b_eig = spectra.to_eigenbasis(_bath_coupling_operator(cfg), eig)
-    fit = _entropy_fit(eig)
-    e0 = _target_energy(cfg, eig, fit)
-    beta = _state_beta(cfg, fit, e0)
-    table = _spectral_table(cfg, eig, b_eig, e0, beta)
-    kappa = cfg.coupling.kappa
+    model = cfg.model
+    e0 = model.e0(cfg.state)
+    beta = model.beta(cfg.state, e0)
+    table = model.table(e0, beta, cfg.eth_opts)
+    kappa = model.coupling.kappa
 
     capacity = None
     deriv = None
     try:
-        capacity = thermo.heat_capacity(fit, e0)
+        capacity = thermo.heat_capacity(model.fit, e0)
         if math.isfinite(capacity) and capacity > 0:
             deriv = eth.spectral_function_energy_derivative(
-                b_eig, eig, table, delta_e=table.window,
+                model.b_eig, model.eig, table, delta_e=table.window,
                 min_states=int(cfg.eth_opts["min_states"]),
             )
     except (ValueError, eth.WindowError):
@@ -350,13 +390,11 @@ def _run_rates(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def _run_bcf(cfg: ExperimentConfig, out: str) -> list[str]:
-    eig = _bath_eigensystem(cfg)
-    b_eig = spectra.to_eigenbasis(_bath_coupling_operator(cfg), eig)
-    fit = _entropy_fit(eig)
-    e0 = _target_energy(cfg, eig, fit)
-    psi = _prepare_bath_state(cfg, eig, e0)
+    model = cfg.model
+    e0 = model.e0(cfg.state)
+    psi = model.prepare(cfg.state, e0, cfg.seed)
     bcf = dynamics.bath_correlation_function(
-        eig, b_eig, psi, cfg.grid, preparation=cfg.state["kind"]
+        model.eig, model.b_eig, psi, cfg.grid, preparation=cfg.state["kind"]
     )
     path = os.path.join(out, "bcf.csv")
     _write_csv(
@@ -365,8 +403,8 @@ def _run_bcf(cfg: ExperimentConfig, out: str) -> list[str]:
     )
     summary = {"variance_at_zero": bcf.variance_at_zero, "preparation": bcf.preparation}
     try:
-        beta = _state_beta(cfg, fit, e0)
-        table = _spectral_table(cfg, eig, b_eig, e0, beta)
+        beta = model.beta(cfg.state, e0)
+        table = model.table(e0, beta, cfg.eth_opts)
         recon = dynamics.bcf_from_spectral_function(table, beta, cfg.grid)
         summary["max_reconstruction_error"] = float(
             np.max(np.abs(recon.values - bcf.values))
@@ -378,50 +416,17 @@ def _run_bcf(cfg: ExperimentConfig, out: str) -> list[str]:
     return [path, spath]
 
 
-def _lindblad_for(
-    cfg: ExperimentConfig,
-    bath_eig: spectra.EigenSystem,
-    b_eig: np.ndarray,
-    e0: float,
-    beta: float,
-    psi_bath: states.PureState,
-):
-    table = _spectral_table(cfg, bath_eig, b_eig, e0, beta)
-    psi_e = psi_bath.to_energy_basis(bath_eig).amplitudes
-    b_expect = float(np.real(np.vdot(psi_e, b_eig @ psi_e)))
-    effective = dynamics.mean_field_shift(cfg.system, cfg.coupling.kappa, b_expect)
-    lowering = dynamics.lowering_operators(effective.hamiltonian)
-    rate = dynamics.RateFunction(table=table, kappa=cfg.coupling.kappa, beta=beta)
-    model = dynamics.build_lindblad(effective, lowering, rate)
-    return model, effective, table
-
-
-def _system_rho0(cfg: ExperimentConfig) -> tuple[np.ndarray, states.PureState]:
-    kind = cfg.state.get("system", "polarized")
-    psi = states.system_initial_state(kind)
-    amps = psi.amplitudes
-    return np.outer(amps, amps.conj()), psi
-
-
 def _run_dynamics(cfg: ExperimentConfig, out: str) -> list[str]:
-    bath_eig = _bath_eigensystem(cfg)
-    b_eig = spectra.to_eigenbasis(_bath_coupling_operator(cfg), bath_eig)
-    fit = _entropy_fit(bath_eig)
-    e0 = _target_energy(cfg, bath_eig, fit)
-    beta = _state_beta(cfg, fit, e0)
-    psi_bath = _prepare_bath_state(cfg, bath_eig, e0)
-    rho0, psi_sys = _system_rho0(cfg)
+    model = cfg.model
+    e0 = model.e0(cfg.state)
+    beta = model.beta(cfg.state, e0)
+    psi_bath = model.prepare(cfg.state, e0, cfg.seed)
+    psi_sys = states.system_initial_state(cfg.state.get("system", "polarized"))
+    rho0 = np.outer(psi_sys.amplitudes, psi_sys.amplitudes.conj())
 
-    model, effective, _table = _lindblad_for(cfg, bath_eig, b_eig, e0, beta, psi_bath)
-    lind = dynamics.lindblad_evolve_sampled(model, rho0, cfg.grid)
-
-    total_eig = _total_eigensystem(cfg)
-    psi_bath_comp = psi_bath.to_computational_basis(bath_eig)
-    psi0 = states.PureState(
-        amplitudes=np.kron(psi_sys.amplitudes, psi_bath_comp.amplitudes),
-        basis="computational",
-    )
-    exact = dynamics.exact_evolve(total_eig, psi0, cfg.grid)
+    lindblad, effective = model.lindblad(model.table(e0, beta, cfg.eth_opts), beta, psi_bath)
+    lind = dynamics.lindblad_evolve_sampled(lindblad, rho0, cfg.grid)
+    exact = model.exact_evolve(psi_sys, psi_bath, cfg.grid)
 
     tdist = dynamics.trace_distance_series(exact, lind)
     path = os.path.join(out, "trajectory.csv")
@@ -438,7 +443,7 @@ def _run_dynamics(cfg: ExperimentConfig, out: str) -> list[str]:
     )
 
     omega_p = effective.omega_prime
-    gamma_pop = model.gamma_pop
+    gamma_pop = lindblad.gamma_pop
     summary = {
         "omega_prime": omega_p,
         "beta": beta,
@@ -448,7 +453,7 @@ def _run_dynamics(cfg: ExperimentConfig, out: str) -> list[str]:
             exact, lind, cfg.grid.t_max
         ),
     }
-    p_inf = model.rate_at(omega_p) / gamma_pop if gamma_pop > 0 else 0.5
+    p_inf = lindblad.rate_at(omega_p) / gamma_pop if gamma_pop > 0 else 0.5
     try:
         rate_exact, res_exact = dynamics.fit_exponential_rate(
             exact.times, exact.populations, p_inf
@@ -459,7 +464,7 @@ def _run_dynamics(cfg: ExperimentConfig, out: str) -> list[str]:
         summary["fitted_rate_exact"] = None
         summary["fit_note"] = str(exc)
     tail = exact.times >= 0.5 * cfg.grid.t_max
-    rho_mf = dynamics.mean_force_state(total_eig, beta)
+    rho_mf = dynamics.mean_force_state(model.total_eig, beta)
     summary["long_time_p0_exact"] = float(np.mean(exact.populations[tail]))
     summary["mean_force_p0"] = float(np.real(rho_mf[0, 0]))
     spath = os.path.join(out, "summary.json")
@@ -468,7 +473,7 @@ def _run_dynamics(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def _run_scaling(cfg: ExperimentConfig, out: str) -> list[str]:
-    sc = cfg.extra.get("scaling", {})
+    sc = cfg.raw.get("scaling", {})
     l_values = [int(x) for x in sc.get("L_values", [6, 8, 10, 12])]
     state_kinds = list(sc.get("state_kinds", ["eigenstate", "typical_mc"]))
     t_final = float(sc.get("t_final", cfg.grid.t_max))
@@ -478,39 +483,22 @@ def _run_scaling(cfg: ExperimentConfig, out: str) -> list[str]:
         SpinChainParams.chaotic if cfg.preset != "integrable" else SpinChainParams.integrable
     )
     # Lindblad reference from the largest bath in the sweep
-    l_ref = max(l_values)
-    ref_cfg = _with_bath(cfg, make_bath(l_ref))
-    ref_eig = _bath_eigensystem(ref_cfg)
-    ref_b = spectra.to_eigenbasis(_bath_coupling_operator(ref_cfg), ref_eig)
-    ref_fit = _entropy_fit(ref_eig)
-    e0_ref = _target_energy(ref_cfg, ref_eig, ref_fit)
-    beta = _state_beta(ref_cfg, ref_fit, e0_ref)
+    ref = replace(cfg.model, bath=make_bath(max(l_values)))
+    e0_ref = ref.e0(cfg.state)
+    beta = ref.beta(cfg.state, e0_ref)
+    psi_sys = states.system_initial_state(cfg.state.get("system", "polarized"))
+    rho0 = np.outer(psi_sys.amplitudes, psi_sys.amplitudes.conj())
 
     rows = []
     for state_kind in state_kinds:
-        s_cfg = dict(cfg.state)
-        s_cfg["kind"] = state_kind
-        psi_ref = _prepare_bath_state(
-            _with_state(ref_cfg, s_cfg), ref_eig, e0_ref
-        )
-        model, _, _ = _lindblad_for(ref_cfg, ref_eig, ref_b, e0_ref, beta, psi_ref)
-        rho0, psi_sys = _system_rho0(cfg)
-        lind = dynamics.lindblad_evolve_sampled(model, rho0, cfg.grid)
+        state = dict(cfg.state, kind=state_kind)
+        psi_ref = ref.prepare(state, e0_ref, cfg.seed)
+        lindblad, _ = ref.lindblad(ref.table(e0_ref, beta, cfg.eth_opts), beta, psi_ref)
+        lind = dynamics.lindblad_evolve_sampled(lindblad, rho0, cfg.grid)
         for L in l_values:
-            run_cfg = _with_state(_with_bath(cfg, make_bath(L)), s_cfg)
-            bath_eig = _bath_eigensystem(run_cfg)
-            fit = _entropy_fit(bath_eig)
-            e0 = _target_energy(run_cfg, bath_eig, fit)
-            psi_bath = _prepare_bath_state(run_cfg, bath_eig, e0)
-            total_eig = _total_eigensystem(run_cfg)
-            psi0 = states.PureState(
-                amplitudes=np.kron(
-                    psi_sys.amplitudes,
-                    psi_bath.to_computational_basis(bath_eig).amplitudes,
-                ),
-                basis="computational",
-            )
-            exact = dynamics.exact_evolve(total_eig, psi0, cfg.grid)
+            model = replace(cfg.model, bath=make_bath(L))
+            psi_bath = model.prepare(state, model.e0(state), cfg.seed)
+            exact = model.exact_evolve(psi_sys, psi_bath, cfg.grid)
             avg = dynamics.time_averaged_trace_distance(exact, lind, t_final)
             rows.append((L, avg, state_kind))
     path = os.path.join(out, "scaling.csv")
@@ -518,25 +506,8 @@ def _run_scaling(cfg: ExperimentConfig, out: str) -> list[str]:
     return [path]
 
 
-def _with_bath(cfg: ExperimentConfig, bath: SpinChainParams) -> ExperimentConfig:
-    import copy
-
-    new = copy.copy(cfg)
-    new.bath = bath
-    return new
-
-
-def _with_state(cfg: ExperimentConfig, state: dict) -> ExperimentConfig:
-    import copy
-
-    new = copy.copy(cfg)
-    new.state = dict(state)
-    return new
-
-
 def _run_levelstats(cfg: ExperimentConfig, out: str) -> list[str]:
-    total_eig = _total_eigensystem(cfg)
-    stats = spectra.gap_ratios(total_eig.eigenvalues)
+    stats = spectra.gap_ratios(cfg.model.total_eig.eigenvalues)
     path = os.path.join(out, "summary.json")
     _write_json(path, {
         "mean_gap_ratio": stats.mean_ratio,
@@ -551,14 +522,13 @@ def _run_levelstats(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def _run_typicality(cfg: ExperimentConfig, out: str) -> list[str]:
-    eig = _bath_eigensystem(cfg)
-    b_eig = spectra.to_eigenbasis(_bath_coupling_operator(cfg), eig)
-    fit = _entropy_fit(eig)
-    e0 = _target_energy(cfg, eig, fit)
-    window = states.microcanonical_window(eig, e0, float(cfg.state["deltaE"]))
-    n_samples = int(cfg.extra.get("typicality", {}).get("n_samples", 50))
+    model = cfg.model
+    window = states.microcanonical_window(
+        model.eig, model.e0(cfg.state), float(cfg.state["deltaE"])
+    )
+    n_samples = int(cfg.raw.get("typicality", {}).get("n_samples", 50))
     report = dynamics.typicality_spread(
-        eig, b_eig, window, n_samples, cfg.seed, cfg.grid
+        model.eig, model.b_eig, window, n_samples, cfg.seed, cfg.grid
     )
     path = os.path.join(out, "typicality.csv")
     _write_csv(
@@ -587,20 +557,21 @@ def _run_typicality(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def _run_multi_op_rates(cfg: ExperimentConfig, out: str) -> list[str]:
-    eig = _bath_eigensystem(cfg)
-    ops_cfg = cfg.extra.get("operators", [[1, "x"], [1, "z"]])
+    # the operators list replaces the coupling term, so model.b_eig stays unbuilt
+    model = cfg.model
     ops = [
-        spectra.to_eigenbasis(pauli_site_operator(cfg.bath.L, int(site), str(axis)).matrix, eig)
-        for site, axis in ops_cfg
+        spectra.to_eigenbasis(
+            pauli_site_operator(model.bath.L, int(site), str(axis)).matrix, model.eig
+        )
+        for site, axis in cfg.raw.get("operators", [[1, "x"], [1, "z"]])
     ]
-    fit = _entropy_fit(eig)
-    e0 = _target_energy(cfg, eig, fit)
-    beta = _state_beta(cfg, fit, e0)
+    e0 = model.e0(cfg.state)
+    beta = model.beta(cfg.state, e0)
     matrices = eth.rate_matrix_multi(
-        ops, eig, e0,
+        ops, model.eig, e0,
         window=float(cfg.eth_opts["window"]),
         freq_bin=float(cfg.eth_opts["freq_bin"]),
-        kappa=cfg.coupling.kappa, beta=beta,
+        kappa=model.coupling.kappa, beta=beta,
         min_states=int(cfg.eth_opts["min_states"]),
     )
     p = len(ops)
@@ -625,10 +596,12 @@ def _run_multi_op_rates(cfg: ExperimentConfig, out: str) -> list[str]:
 
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Physics lint: returns a list of warning strings (schema errors raise)."""
+    model = cfg.model
+    kappa, bath = model.coupling.kappa, model.bath
     warnings_out: list[str] = []
-    if cfg.coupling.kappa == 0:
+    if kappa == 0:
         warnings_out.append("kappa = 0: dynamics is trivial (no system-bath coupling)")
-    dim_total = 2 ** (cfg.bath.L + 1)
+    dim_total = 2 ** (bath.L + 1)
     mem = 16 * dim_total**2
     if mem > 8 * 2**30:
         warnings_out.append(
@@ -636,32 +609,28 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             "eigendecomposition; expect memory pressure"
         )
     # mean level spacing estimate from a Gaussian DOS of width ~ sqrt(L) * ||couplings||
-    scale = math.sqrt(cfg.bath.L) * max(
-        abs(cfg.bath.J), abs(cfg.bath.h_x), abs(cfg.bath.h_z), 1e-12
-    )
-    spacing = 2.0 * 4.0 * scale / 2**cfg.bath.L
-    if 0 < cfg.coupling.kappa < spacing:
+    scale = math.sqrt(bath.L) * max(abs(bath.J), abs(bath.h_x), abs(bath.h_z), 1e-12)
+    spacing = 2.0 * 4.0 * scale / 2**bath.L
+    if 0 < kappa < spacing:
         warnings_out.append(
-            f"kappa = {cfg.coupling.kappa} below the estimated mean level spacing "
+            f"kappa = {kappa} below the estimated mean level spacing "
             f"{spacing:.3g}; coupling too weak to induce nontrivial dynamics"
         )
-    if cfg.bath.L <= 12:
+    if bath.L <= 12:
         try:
-            eig = _bath_eigensystem(cfg)
-            fit = _entropy_fit(eig)
             beta = float(cfg.state.get("beta", 0.0))
             try:
-                e0 = thermo.energy_at_beta(fit, beta)
+                e0 = thermo.energy_at_beta(model.fit, beta)
             except thermo.FitDomainError:
                 warnings_out.append(
                     f"target beta = {beta} lies outside the entropy-fit domain"
                 )
                 return warnings_out
-            b_eig = spectra.to_eigenbasis(_bath_coupling_operator(cfg), eig)
+            model.b_eig  # outside the Markov try: a failure skips the lint, >1 term exits 2
             try:
-                table = _spectral_table(cfg, eig, b_eig, e0, beta)
-                rate = dynamics.RateFunction(table, cfg.coupling.kappa, beta)
-                omega_p = cfg.system.omega0
+                table = model.table(e0, beta, cfg.eth_opts)
+                rate = partial(eth.transition_rate, table, kappa, beta)
+                omega_p = model.system.omega0
                 gamma_max = max(rate(omega_p), rate(-omega_p))
                 mask = table.filled
                 x, y = table.omegas[mask], table.values[mask]
@@ -675,9 +644,20 @@ def validate(cfg: ExperimentConfig) -> list[str]:
                     )
             except (eth.WindowError, eth.SupportError, ValueError) as exc:
                 warnings_out.append(f"could not evaluate the Markov criterion: {exc}")
+        except ConfigError:
+            raise
         except Exception as exc:  # lint must not crash validation
             warnings_out.append(f"physics lint skipped: {exc}")
     return warnings_out
+
+
+def _run_validate(cfg: ExperimentConfig, out: str) -> list[str]:
+    diagnostics = validate(cfg)
+    path = os.path.join(out, "validate.json")
+    _write_json(path, {"warnings": diagnostics})
+    for w in diagnostics:
+        print(f"warning: {w}", file=sys.stderr)
+    return [path]
 
 
 _RUNNERS = {
@@ -690,35 +670,34 @@ _RUNNERS = {
     "levelstats": _run_levelstats,
     "typicality": _run_typicality,
     "multi-op-rates": _run_multi_op_rates,
+    "validate": _run_validate,
 }
 
 
 def run(cfg: ExperimentConfig) -> dict:
-    """Execute the configured pipeline; returns the run manifest."""
+    """Execute the configured pipeline; returns the run manifest.
+
+    Outputs are written into a staging directory inside the output directory
+    and moved into place only when the run succeeds, so a failing run leaves
+    the output directory as it found it.
+    """
     os.makedirs(cfg.out_dir, exist_ok=True)
     start = time.time()
-    if cfg.kind == "validate":
-        produced = []
-        diagnostics = validate(cfg)
-        path = os.path.join(cfg.out_dir, "validate.json")
-        _write_json(path, {"warnings": diagnostics})
-        for w in diagnostics:
-            print(f"warning: {w}", file=sys.stderr)
-        produced.append(path)
-    else:
-        runner = _RUNNERS[cfg.kind]
+    staging = tempfile.mkdtemp(prefix=".staging-", dir=cfg.out_dir)
+    try:
         try:
-            produced = runner(cfg, cfg.out_dir)
-        except (ConfigError, StageError):
+            produced = _RUNNERS[cfg.kind](cfg, staging)
+        except ConfigError:
             raise
         except Exception as exc:
-            for name in os.listdir(cfg.out_dir):
-                if name != "run_manifest.json":
-                    try:
-                        os.unlink(os.path.join(cfg.out_dir, name))
-                    except OSError:
-                        pass
             raise StageError(cfg.kind, exc) from exc
+        files = {}
+        for path in produced:
+            name = os.path.basename(path)
+            files[name] = _sha256(path)
+            os.replace(path, os.path.join(cfg.out_dir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     manifest = {
         "kind": cfg.kind,
         "config_hash": hashlib.sha256(
@@ -727,7 +706,7 @@ def run(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "versions": {"ethbath": __version__, "numpy": np.__version__},
         "wall_seconds": time.time() - start,
-        "files": {os.path.basename(p): _sha256(p) for p in produced},
+        "files": files,
     }
     _write_json(os.path.join(cfg.out_dir, "run_manifest.json"), manifest)
     return manifest
@@ -743,16 +722,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--cache-dir", default=None, help="eigensystem cache directory")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
-
-    if args.threads is not None:
-        try:
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(args.threads)
-        except ImportError:
-            print("warning: threadpoolctl unavailable; --threads ignored", file=sys.stderr)
 
     try:
         with open(args.config) as fh:
@@ -762,11 +732,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = parse_config(args.kind, raw, args.out, args.cache_dir, args.seed)
+        manifest = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        manifest = run(cfg)
     except StageError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

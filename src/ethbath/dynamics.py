@@ -155,37 +155,21 @@ def build_lindblad(
     effective: EffectiveSystem,
     lowering: list[tuple[float, np.ndarray]],
     rate_function,
-    include_zero_frequency: bool = False,
 ) -> LindbladModel:
     """Attach rates to the Bohr components. rate_function maps omega -> gamma.
 
-    The omega = 0 component is excluded by default (its rate is negligible for
-    the models considered); include_zero_frequency re-enables it.
+    The omega = 0 component is excluded (its rate is negligible for the models
+    considered).
     """
     jumps = []
     for omega, op in lowering:
-        if omega == 0.0 and not include_zero_frequency:
+        if omega == 0.0:
             continue
         gamma = float(rate_function(omega))
         if gamma < 0:
             raise ValueError(f"rate function returned negative rate at omega={omega}")
         jumps.append((omega, op, gamma))
     return LindbladModel(hamiltonian=effective.hamiltonian, jumps=tuple(jumps))
-
-
-@dataclass(frozen=True)
-class RateFunction:
-    """gamma(omega) evaluated from a normalized spectral-function table."""
-
-    table: SpectralFunctionTable
-    kappa: float
-    beta: float
-    provenance: str = "leading-order"
-
-    def __call__(self, omega: float) -> float:
-        from .eth import transition_rate
-
-        return transition_rate(self.table, self.kappa, self.beta, omega)
 
 
 # -- Lindblad integration ------------------------------------------------------
@@ -464,7 +448,6 @@ class TypicalitySpread:
     deviations_c: np.ndarray = field(repr=False)
     max_dev_b: np.ndarray = field(repr=False)
     max_dev_c: np.ndarray = field(repr=False)
-    long_time_avg_b: np.ndarray = field(repr=False)
 
     @property
     def median_spread_b(self) -> float:
@@ -517,13 +500,11 @@ def typicality_spread(
 
     devs_b = np.empty((n_samples, times.size))
     devs_c = np.empty((n_samples, times.size))
-    long_avg = np.empty(n_samples)
     for s in range(n_samples):
         psi = coeffs[s]
         phases = np.exp(-1j * np.outer(e_w, times)) * psi[:, None]  # (d_w, nt)
         b_t = np.real(np.einsum("it,ij,jt->t", phases.conj(), b_win, phases))
         devs_b[s] = np.abs(b_t - mc_average)
-        long_avg[s] = float(np.mean(b_t[times >= 0.5 * times[-1]]))
         b_mean_s = b_t[0]
         # the e^{+/- i E t} phases live inside the kernel, so the quadratic
         # form uses the bare coefficients
@@ -536,5 +517,4 @@ def typicality_spread(
         deviations_c=devs_c,
         max_dev_b=devs_b.max(axis=1),
         max_dev_c=devs_c.max(axis=1),
-        long_time_avg_b=long_avg,
     )

@@ -83,21 +83,15 @@ class SpectralFunctionTable:
         """Mask of bins usable after symmetrization (either +omega or -omega hit)."""
         return (self.counts + self.counts[::-1]) > 0
 
-    def _interp(self, source: np.ndarray, omega: float) -> float:
+    def value_at(self, omega: float) -> float:
+        """Symmetrized |f|^2, linearly interpolated between filled bin centers."""
         mask = self.filled
         if not mask.any():
             raise SupportError("empty table")
         x = self.omegas[mask]
         if not (x[0] <= omega <= x[-1]):
             raise SupportError(f"omega={omega} outside table support [{x[0]}, {x[-1]}]")
-        return float(np.interp(omega, x, source[mask]))
-
-    def value_at(self, omega: float) -> float:
-        """Symmetrized |f|^2, linearly interpolated between filled bin centers."""
-        return self._interp(self.values, omega)
-
-    def raw_value_at(self, omega: float) -> float:
-        return self._interp(self.raw_values, omega)
+        return float(np.interp(omega, x, self.values[mask]))
 
 
 def _bin_pairs(
@@ -335,7 +329,6 @@ class RateMatrix:
     omega: float
     matrix: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray
-    unitary: np.ndarray = field(repr=False)
     min_eigenvalue: float
     clipped_eigenvalues: np.ndarray
     hermiticity_residual: float
@@ -384,13 +377,12 @@ def rate_matrix_multi(
                 stacklevel=2,
             )
         herm = 0.5 * (gamma + gamma.conj().T)
-        evals, u = np.linalg.eigh(herm)
+        evals, _ = np.linalg.eigh(herm)
         out.append(
             RateMatrix(
                 omega=float(omegas[b]),
                 matrix=herm,
                 eigenvalues=evals,
-                unitary=u,
                 min_eigenvalue=float(evals.min()),
                 clipped_eigenvalues=np.clip(evals, 0.0, None),
                 hermiticity_residual=residual,

@@ -111,17 +111,6 @@ class HermitianOperator:
             raise DimensionError(f"not square: {m.shape}")
         return cls(matrix=m, dim=m.shape[0])
 
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.matrix)
-
-    @property
-    def n_spins(self) -> int:
-        n = self.dim.bit_length() - 1
-        if 2**n != self.dim:
-            raise DimensionError(f"dim {self.dim} is not a power of two")
-        return n
-
 
 def _check_register(n_spins: int) -> int:
     if n_spins < 1:

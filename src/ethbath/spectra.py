@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,15 +171,18 @@ def load_eigensystem(path: str | os.PathLike, key: str | None = None) -> EigenSy
 
 
 def cached_diagonalize(
-    H: HermitianOperator, cache_dir: str | os.PathLike | None, key: str
+    build: Callable[[], HermitianOperator], cache_dir: str | os.PathLike | None, key: str
 ) -> EigenSystem:
-    """Diagonalize with an on-disk cache keyed by the model-spec string."""
+    """Diagonalize build() with an on-disk cache keyed by the model-spec string.
+
+    The operator is built only on a cache miss.
+    """
     if cache_dir is None:
-        return diagonalize(H)
+        return diagonalize(build())
     name = hashlib.sha256(key.encode()).hexdigest()[:24] + ".etheig"
     path = os.path.join(os.fspath(cache_dir), name)
     if os.path.exists(path):
         return load_eigensystem(path, key=key)
-    eig = diagonalize(H)
+    eig = diagonalize(build())
     save_eigensystem(path, eig, key)
     return eig

@@ -95,10 +95,6 @@ def eigenstate_preparation(eig: EigenSystem, e_target: float) -> PureState:
     return PureState(amplitudes=amps, basis="energy")
 
 
-def nearest_eigenstate_index(eig: EigenSystem, e_target: float) -> int:
-    return int(np.argmin(np.abs(eig.eigenvalues - e_target)))
-
-
 # -- counter-based RNG -------------------------------------------------------
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -137,22 +133,15 @@ def typical_microcanonical_state(
     e0: float,
     delta_e: float,
     seed: int,
-    complex_amplitudes: bool = False,
 ) -> PureState:
     """Gaussian-random superposition of the eigenstates inside [e0 +/- delta_e/2].
 
-    Amplitudes are real by default (the bath Hamiltonians here are real
-    symmetric and time-reversal invariant); complex_amplitudes switches to
-    independent real and imaginary Gaussian parts.
+    Amplitudes are real: the bath Hamiltonians here are real symmetric and
+    time-reversal invariant.
     """
     window = microcanonical_window(eig, e0, delta_e)
-    n = window.dim
-    if complex_amplitudes:
-        g = counter_gaussians(seed, 2 * n)
-        coeff = g[:n] + 1j * g[n:]
-    else:
-        coeff = counter_gaussians(seed, n)
-    amps = np.zeros(eig.dim, dtype=complex if complex_amplitudes else float)
+    coeff = counter_gaussians(seed, window.dim)
+    amps = np.zeros(eig.dim)
     amps[window.members] = coeff / np.linalg.norm(coeff)
     return PureState(amplitudes=amps, basis="energy")
 

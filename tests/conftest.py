@@ -9,23 +9,11 @@ import os
 import numpy as np
 import pytest
 
-from ethbath import spectra
-from ethbath.hamiltonian import (
-    CouplingSpec,
-    SpinChainParams,
-    SystemParams,
-    build_bath_hamiltonian,
-    build_total_hamiltonian,
-    model_spec_key,
-)
+from ethbath.cli import BathModel
+from ethbath.hamiltonian import CouplingSpec, SpinChainParams, SystemParams
 
 OMEGA0 = 1.525
 KAPPA = 0.15
-
-
-def _make_params(L: int, preset: str) -> SpinChainParams:
-    maker = SpinChainParams.chaotic if preset == "chaotic" else SpinChainParams.integrable
-    return maker(L)
 
 
 @pytest.fixture(scope="session")
@@ -38,30 +26,14 @@ def cache_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def bath_eig(cache_dir):
-    """Factory: (L, preset) -> EigenSystem of the bare bath chain."""
+def model(cache_dir):
+    """Factory: (L, preset) -> BathModel of the qubit with the standard sigma^x
+    coupling to bath site 1; its eigensystems are memoized on the model."""
 
     @functools.lru_cache(maxsize=None)
-    def make(L: int, preset: str) -> spectra.EigenSystem:
-        params = _make_params(L, preset)
-        key = model_spec_key(SystemParams(OMEGA0), params, None) + "#bath"
-        return spectra.cached_diagonalize(build_bath_hamiltonian(params), cache_dir, key)
-
-    return make
-
-
-@pytest.fixture(scope="session")
-def total_eig(cache_dir):
-    """Factory: (L, preset) -> EigenSystem of qubit + bath with the standard coupling."""
-
-    @functools.lru_cache(maxsize=None)
-    def make(L: int, preset: str) -> spectra.EigenSystem:
-        params = _make_params(L, preset)
-        system = SystemParams(OMEGA0)
-        coupling = CouplingSpec(kappa=KAPPA)
-        key = model_spec_key(system, params, coupling) + "#total"
-        h = build_total_hamiltonian(system, params, coupling)
-        return spectra.cached_diagonalize(h, cache_dir, key)
+    def make(L: int, preset: str) -> BathModel:
+        maker = SpinChainParams.chaotic if preset == "chaotic" else SpinChainParams.integrable
+        return BathModel(SystemParams(OMEGA0), maker(L), CouplingSpec(kappa=KAPPA), cache_dir)
 
     return make
 

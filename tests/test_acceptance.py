@@ -23,14 +23,16 @@ FREQ_BIN = {"chaotic": 0.05, "integrable": 0.4}
 SIZES = (6, 8, 10, 12)
 
 EXCITED = np.array([1.0, 0.0])  # qubit basis ordering: index 0 carries +omega0/2
+INFINITE_T = {"kind": "eigenstate", "beta": 0.0}
 
 
 class _Workspace:
-    """Memoized per-module heavy artifacts shared between criteria."""
+    """Per-module memo of the L=12 artifacts several criteria share: normalized
+    spectral-function tables per beta and the trace-distance scaling sweep.
+    Everything else comes memoized from the bath models."""
 
-    def __init__(self, bath_eig, total_eig):
-        self.bath_eig = bath_eig
-        self.total_eig = total_eig
+    def __init__(self, model):
+        self.model = model
         self._memo = {}
 
     def _get(self, key, build):
@@ -38,83 +40,41 @@ class _Workspace:
             self._memo[key] = build()
         return self._memo[key]
 
-    def b_eig(self, L, preset):
-        def build():
-            eig = self.bath_eig(L, preset)
-            b = pauli_register_operator(L, 0, "x").matrix
-            return eig.eigenvectors.T @ b @ eig.eigenvectors
-
-        return self._get(("b_eig", L, preset), build)
-
-    def entropy_fit(self, L, preset):
-        return self._get(
-            ("fit", L, preset),
-            lambda: thermo.entropy_fit(
-                thermo.density_of_states(self.bath_eig(L, preset).eigenvalues)
-            ),
-        )
-
-    def e0(self, L, preset, beta):
-        return thermo.energy_at_beta(self.entropy_fit(L, preset), beta)
-
     def table(self, preset, beta):
         """Normalized L=12 spectral-function table at the beta-matched energy."""
 
         def build():
-            eig = self.bath_eig(12, preset)
-            b = self.b_eig(12, preset)
-            e0 = self.e0(12, preset, beta)
-            raw = eth.spectral_function(b, eig, e0, WINDOW, FREQ_BIN[preset])
-            n = states.nearest_eigenstate_index(eig, e0)
-            var_b = float(np.sum(np.abs(b[:, n]) ** 2) - b[n, n].real ** 2)
-            return eth.normalize_spectral_function(raw, var_b, beta)
+            m = self.model(12, preset)
+            opts = {"window": WINDOW, "freq_bin": FREQ_BIN[preset], "min_states": 100}
+            return m.table(m.e0({"beta": beta}), beta, opts)
 
         return self._get(("table", preset, beta), build)
 
-    def lindblad(self, preset):
-        """Infinite-temperature Lindblad model from the L=12 bath data."""
-
-        def build():
-            eig = self.bath_eig(12, preset)
-            n = states.nearest_eigenstate_index(eig, self.e0(12, preset, 0.0))
-            b_expect = float(self.b_eig(12, preset)[n, n].real)
-            eff = dynamics.mean_field_shift(SystemParams(OMEGA0), KAPPA, b_expect)
-            table = self.table(preset, 0.0)
-            lowering = dynamics.lowering_operators(eff.hamiltonian)
-            return dynamics.build_lindblad(
-                eff, lowering, lambda w: eth.transition_rate(table, KAPPA, 0.0, w)
-            )
-
-        return self._get(("lindblad", preset), build)
-
     def scaling(self, preset):
-        """<T> over t'=100 per bath size, plus the L=12 trajectories."""
+        """<T> over t'=100 per bath size against the infinite-temperature
+        Lindblad model from the L=12 bath, plus the L=12 trajectories."""
 
         def build():
-            model = self.lindblad(preset)
+            ref = self.model(12, preset)
+            psi_ref = ref.prepare(INFINITE_T, ref.e0(INFINITE_T), seed=0)
+            lindblad, _ = ref.lindblad(self.table(preset, 0.0), 0.0, psi_ref)
             grid = dynamics.TimeGrid(t_max=100.0, dt=0.5)
-            rho0 = np.diag([1.0, 0.0]).astype(complex)
-            lind = dynamics.lindblad_evolve_sampled(model, rho0, grid)
+            lind = dynamics.lindblad_evolve_sampled(lindblad, np.outer(EXCITED, EXCITED), grid)
+            excited = states.PureState(amplitudes=EXCITED.copy(), basis="computational")
             tbars, traj = [], None
             for L in SIZES:
-                beig = self.bath_eig(L, preset)
-                bath = states.eigenstate_preparation(
-                    beig, self.e0(L, preset, 0.0)
-                ).to_computational_basis(beig)
-                psi0 = states.PureState(
-                    amplitudes=np.kron(EXCITED, bath.amplitudes),
-                    basis="computational",
-                )
-                traj = dynamics.exact_evolve(self.total_eig(L, preset), psi0, grid)
+                m = self.model(L, preset)
+                psi = m.prepare(INFINITE_T, m.e0(INFINITE_T), seed=0)
+                traj = m.exact_evolve(excited, psi, grid)
                 tbars.append(dynamics.time_averaged_trace_distance(traj, lind, 100.0))
-            return tbars, traj, lind, model
+            return tbars, traj, lind, lindblad
 
         return self._get(("scaling", preset), build)
 
 
 @pytest.fixture(scope="module")
-def ws(bath_eig, total_eig):
-    return _Workspace(bath_eig, total_eig)
+def ws(model):
+    return _Workspace(model)
 
 
 def _central_density(eig: EigenSystem) -> float:
@@ -130,7 +90,7 @@ def _central_density(eig: EigenSystem) -> float:
     return (keep - 1) / float(central[-1] - central[0])
 
 
-def test_criterion_01_eth_diagonal_collapse(ws):
+def test_criterion_01_eth_diagonal_collapse(model):
     """ETH: B_nn = B(E_n) + e^{-S/2} f(E, 0) R_nn, so fluctuation * sqrt(rho) is flat.
 
     SIZES step L by 2, so the Hilbert space grows 4x per step and e^{-S/2} can
@@ -141,8 +101,9 @@ def test_criterion_01_eth_diagonal_collapse(ws):
     for preset in ("chaotic", "integrable"):
         flucts[preset], scaled[preset], root_rho[preset] = [], [], []
         for L in SIZES:
-            eig = ws.bath_eig(L, preset)
-            f = eth.diagonal_profile(ws.b_eig(L, preset), eig).fluctuation
+            m = model(L, preset)
+            eig = m.eig
+            f = eth.diagonal_profile(m.b_eig, eig).fluctuation
             r = math.sqrt(_central_density(eig))
             flucts[preset].append(f)
             root_rho[preset].append(r)
@@ -225,35 +186,34 @@ def test_criterion_03_two_level_lindblad_oracle(ws):
     assert rate / gamma_pop == pytest.approx(0.5, rel=0.01)
 
 
-def test_criterion_04_bcf_structure(ws):
-    eig = ws.bath_eig(12, "chaotic")
-    psi = states.eigenstate_preparation(eig, ws.e0(12, "chaotic", 0.0))
+def test_criterion_04_bcf_structure(model):
+    m = model(12, "chaotic")
+    eig = m.eig
+    psi = states.eigenstate_preparation(eig, m.e0(INFINITE_T))
     short = dynamics.TimeGrid(t_max=2.0, dt=0.02)
-    bcf = dynamics.bath_correlation_function(eig, ws.b_eig(12, "chaotic"), psi, short)
+    bcf = dynamics.bath_correlation_function(eig, m.b_eig, psi, short)
     mag = np.abs(bcf.values)
     hwhm = float(short.times[np.argmax(mag <= 0.5 * mag[0])])
     assert 0.3 <= hwhm <= 0.7
 
     long = dynamics.TimeGrid(t_max=25.0, dt=0.05)
-    bcf_long = dynamics.bath_correlation_function(eig, ws.b_eig(12, "chaotic"), psi, long)
+    bcf_long = dynamics.bath_correlation_function(eig, m.b_eig, psi, long)
     mag_long = np.abs(bcf_long.values)
     assert np.max(mag_long[long.times > 2.0]) < 0.3 * mag_long[0]
 
-    ieig = ws.bath_eig(12, "integrable")
-    ipsi = states.typical_microcanonical_state(
-        ieig, ws.e0(12, "integrable", 0.0), 0.4, seed=0
-    )
-    ibcf = dynamics.bath_correlation_function(ieig, ws.b_eig(12, "integrable"), ipsi, long)
+    im = model(12, "integrable")
+    ipsi = states.typical_microcanonical_state(im.eig, im.e0(INFINITE_T), 0.4, seed=0)
+    ibcf = dynamics.bath_correlation_function(im.eig, im.b_eig, ipsi, long)
     imag = np.abs(ibcf.values)
     revival = (long.times >= 8.0) & (long.times <= 25.0)
     assert np.max(imag[revival]) >= 0.3 * imag[0]
 
 
-def test_criterion_05_spectral_function_closure(ws):
-    eig = ws.bath_eig(12, "chaotic")
-    psi = states.eigenstate_preparation(eig, ws.e0(12, "chaotic", 0.0))
+def test_criterion_05_spectral_function_closure(ws, model):
+    m = model(12, "chaotic")
+    psi = states.eigenstate_preparation(m.eig, m.e0(INFINITE_T))
     grid = dynamics.TimeGrid(t_max=2.0, dt=0.02)
-    exact = dynamics.bath_correlation_function(eig, ws.b_eig(12, "chaotic"), psi, grid)
+    exact = dynamics.bath_correlation_function(m.eig, m.b_eig, psi, grid)
     from_table = dynamics.bcf_from_spectral_function(ws.table("chaotic", 0.0), 0.0, grid)
     c0 = exact.variance_at_zero
     assert np.max(np.abs(exact.values - from_table.values)) <= 0.15 * c0
@@ -270,10 +230,10 @@ def test_criterion_06_trace_distance_scaling(ws):
 
 
 def test_criterion_07_rate_prediction(ws):
-    _, exact_traj, lind_traj, model = ws.scaling("chaotic")
-    wp = max(w for w, _, _ in model.jumps)
-    gamma_pop = model.gamma_pop
-    p_inf = model.rate_at(-wp) / gamma_pop
+    _, exact_traj, lind_traj, lindblad = ws.scaling("chaotic")
+    wp = max(w for w, _, _ in lindblad.jumps)
+    gamma_pop = lindblad.gamma_pop
+    p_inf = lindblad.rate_at(-wp) / gamma_pop
     rate_exact, _ = dynamics.fit_exponential_rate(
         exact_traj.times, exact_traj.rhos[:, 0, 0].real, asymptote=p_inf
     )
@@ -284,13 +244,13 @@ def test_criterion_07_rate_prediction(ws):
     assert rate_lind == pytest.approx(gamma_pop, rel=0.02)
 
 
-def test_criterion_08_mean_force_correction(ws):
+def test_criterion_08_mean_force_correction(model):
     # 10-spin total (bath L=9); tail populations averaged over typical
     # preparations so eigenstate-to-eigenstate fluctuations drop out
     beta = 0.25
-    beig = ws.bath_eig(9, "chaotic")
-    teig = ws.total_eig(9, "chaotic")
-    e_b = thermo.energy_at_beta(ws.entropy_fit(9, "chaotic"), beta)
+    m = model(9, "chaotic")
+    beig, teig = m.eig, m.total_eig
+    e_b = m.e0({"beta": beta})
     fit_total = thermo.entropy_fit(thermo.density_of_states(teig.eigenvalues))
 
     grid = dynamics.TimeGrid(t_max=1000.0, dt=1.0)
@@ -318,21 +278,21 @@ def test_criterion_08_mean_force_correction(ws):
     )
 
 
-def test_criterion_09_level_statistics(ws):
-    chaotic = gap_ratios(ws.total_eig(10, "chaotic").eigenvalues)
-    integrable = gap_ratios(ws.total_eig(10, "integrable").eigenvalues)
+def test_criterion_09_level_statistics(model):
+    chaotic = gap_ratios(model(10, "chaotic").total_eig.eigenvalues)
+    integrable = gap_ratios(model(10, "integrable").total_eig.eigenvalues)
     assert 0.50 <= chaotic.mean_ratio <= 0.56, chaotic.mean_ratio
     assert 0.35 <= integrable.mean_ratio <= 0.45, integrable.mean_ratio
 
 
-def test_criterion_10_typicality(ws):
+def test_criterion_10_typicality(model):
     grid = dynamics.TimeGrid(t_max=50.0, dt=0.5)
     spreads = {}
     for L in (8, 12):
-        eig = ws.bath_eig(L, "chaotic")
-        window = states.microcanonical_window(eig, ws.e0(L, "chaotic", 0.0), 1.5)
+        m = model(L, "chaotic")
+        window = states.microcanonical_window(m.eig, m.e0(INFINITE_T), 1.5)
         spread = dynamics.typicality_spread(
-            eig, ws.b_eig(L, "chaotic"), window, n_samples=50, seed=0, grid=grid
+            m.eig, m.b_eig, window, n_samples=50, seed=0, grid=grid
         )
         for eps in np.linspace(0.01, 2.5, 250):
             assert spread.exceedance_fraction(eps) <= dynamics.levy_bound_observable(
@@ -342,7 +302,7 @@ def test_criterion_10_typicality(ws):
     assert spreads[8] / spreads[12] >= 3.0, spreads
 
 
-def test_criterion_11_rate_matrix(ws):
+def test_criterion_11_rate_matrix(model):
     # synthetic: per-bin DFT phases make the bin averages of B^mu B^nu* equal
     # (A A^dag)_{mu nu} exactly, so the recovered eigenvalues are known
     rng = np.random.default_rng(11)
@@ -381,12 +341,11 @@ def test_criterion_11_rate_matrix(ws):
         assert np.max(np.abs(ev - np.sort(t.eigenvalues))) <= 1e-6 * np.max(np.abs(ev))
 
     # chaotic L=12, two coupling operators: near-positive rate matrices
-    beig = ws.bath_eig(12, "chaotic")
-    v = beig.eigenvectors
-    bx = ws.b_eig(12, "chaotic")
+    m = model(12, "chaotic")
+    v = m.eig.eigenvectors
     bz = v.T @ pauli_register_operator(12, 0, "z").matrix @ v
     real_tables = eth.rate_matrix_multi(
-        [bx, bz], beig, ws.e0(12, "chaotic", 0.1), WINDOW, FREQ_BIN["chaotic"], KAPPA, 0.1
+        [m.b_eig, bz], m.eig, m.e0({"beta": 0.1}), WINDOW, FREQ_BIN["chaotic"], KAPPA, 0.1
     )
     central = [t for t in real_tables if abs(t.omega) <= 2.0 and t.count > 0]
     g_max = max(float(np.max(t.eigenvalues)) for t in central)

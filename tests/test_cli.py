@@ -138,13 +138,58 @@ def test_validate_flags_weak_coupling(config_file, tmp_path, cache_dir, capsys):
     assert any("level spacing" in w for w in report["warnings"])
 
 
-def test_reruns_are_byte_identical(config_file, tmp_path, cache_dir):
-    cfg_path = config_file(base_config())
+# small enough to run every kind on the L=6 base config
+KIND_EXTRAS = {
+    "scaling": {"scaling": {"L_values": [6], "state_kinds": ["eigenstate"], "t_final": 10.0}},
+    "typicality": {"typicality": {"n_samples": 5}},
+}
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_reruns_are_byte_identical(kind, config_file, tmp_path, cache_dir):
+    cfg_path = config_file(base_config(**KIND_EXTRAS.get(kind, {})))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert run_kind("eth-stats", cfg_path, out_a, cache_dir) == 0
-    assert run_kind("eth-stats", cfg_path, out_b, cache_dir) == 0
-    for name in ("diagonals.csv", "specfun.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    assert run_kind(kind, cfg_path, out_a, cache_dir) == 0
+    assert run_kind(kind, cfg_path, out_b, cache_dir) == 0
+    names = sorted(json.loads((out_a / "run_manifest.json").read_text())["files"])
+    assert names == sorted(p.name for p in out_a.iterdir() if p.name != "run_manifest.json")
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_sigma_z_coupling_predicts_no_relaxation(config_file, tmp_path, cache_dir):
+    # sigma^z on the system conserves its populations, and the Lindblad side
+    # must couple through the same system operator as the exact dynamics
+    cfg = base_config(coupling={"kappa": 0.15, "terms": [["z", 1, "x"]]})
+    out = tmp_path / "out"
+    assert run_kind("dynamics", config_file(cfg), out, cache_dir) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["gamma_pop_prediction"] == 0
+
+
+@pytest.mark.parametrize(
+    "kind", ["eth-stats", "rates", "bcf", "dynamics", "scaling", "typicality", "validate"]
+)
+def test_multi_term_coupling_exits_2(kind, config_file, tmp_path, cache_dir, capsys):
+    cfg = base_config(coupling={"kappa": 0.15, "terms": [["x", 1, "x"], ["z", 2, "z"]]},
+                      **KIND_EXTRAS.get(kind, {}))
+    assert run_kind(kind, config_file(cfg), tmp_path / "out", cache_dir) == 2
+    assert "exactly one term" in capsys.readouterr().err
+
+
+def test_config_error_inside_runner_exits_2(config_file, tmp_path, cache_dir, capsys):
+    cfg = base_config(scaling={"L_values": [6], "t_final": 50.0})
+    assert run_kind("scaling", config_file(cfg), tmp_path / "out", cache_dir) == 2
+    assert "t_final" in capsys.readouterr().err
+
+
+def test_failing_run_keeps_foreign_files_and_writes_nothing(config_file, tmp_path, cache_dir):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("not written by ethbath\n")
+    cfg = base_config(eth={"window": 4.0, "freq_bin": 0.4, "min_states": 10000})
+    assert run_kind("rates", config_file(cfg), out, cache_dir) == 3
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
 
 def test_cache_env_fallback(config_file, tmp_path, monkeypatch):

@@ -93,14 +93,18 @@ def test_cache_rejects_truncation(tmp_path):
 
 def test_cached_diagonalize_hits_cache(tmp_path):
     h = build_bath_hamiltonian(SpinChainParams.chaotic(4))
-    a = spectra.cached_diagonalize(h, str(tmp_path), key="m")
+    a = spectra.cached_diagonalize(lambda: h, str(tmp_path), key="m")
     files = list(tmp_path.iterdir())
     assert len(files) == 1
-    b = spectra.cached_diagonalize(h, str(tmp_path), key="m")
+
+    def must_not_build():
+        raise AssertionError("a cache hit built the operator")
+
+    b = spectra.cached_diagonalize(must_not_build, str(tmp_path), key="m")
     np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
 
 
 def test_cached_diagonalize_without_dir_computes():
     h = build_bath_hamiltonian(SpinChainParams.chaotic(3))
-    eig = spectra.cached_diagonalize(h, None, key="m")
+    eig = spectra.cached_diagonalize(lambda: h, None, key="m")
     assert eig.dim == 8
