@@ -107,8 +107,7 @@ class BathModel:
     @cached_property
     def b_eig(self) -> np.ndarray:
         _, site, axis = self.term
-        b = pauli_site_operator(self.bath.L, site, axis).matrix
-        return spectra.to_eigenbasis(b, self.eig)
+        return spectra.to_eigenbasis(pauli_site_operator(self.bath.L, site, axis), self.eig)
 
     @cached_property
     def fit(self) -> thermo.EntropyFit:
@@ -560,9 +559,7 @@ def _run_multi_op_rates(cfg: ExperimentConfig, out: str) -> list[str]:
     # the operators list replaces the coupling term, so model.b_eig stays unbuilt
     model = cfg.model
     ops = [
-        spectra.to_eigenbasis(
-            pauli_site_operator(model.bath.L, int(site), str(axis)).matrix, model.eig
-        )
+        spectra.to_eigenbasis(pauli_site_operator(model.bath.L, int(site), str(axis)), model.eig)
         for site, axis in cfg.raw.get("operators", [[1, "x"], [1, "z"]])
     ]
     e0 = model.e0(cfg.state)
@@ -618,12 +615,14 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         )
     if bath.L <= 12:
         try:
-            beta = float(cfg.state.get("beta", 0.0))
             try:
-                e0 = thermo.energy_at_beta(model.fit, beta)
+                e0 = model.e0(cfg.state)
+                beta = model.beta(cfg.state, e0)
             except thermo.FitDomainError:
+                target = "E" if "E" in cfg.state else "beta"
+                value = float(cfg.state.get(target, 0.0))
                 warnings_out.append(
-                    f"target beta = {beta} lies outside the entropy-fit domain"
+                    f"target {target} = {value} lies outside the entropy-fit domain"
                 )
                 return warnings_out
             model.b_eig  # outside the Markov try: a failure skips the lint, >1 term exits 2

@@ -18,6 +18,7 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 _TIME_CHUNK = 64
+_ROW_BLOCK = 512
 
 
 class NumericalInvariantError(RuntimeError):
@@ -322,6 +323,15 @@ class BathCorrelation:
             raise ValueError(f"C(0) = {c0} must be real and nonnegative")
 
 
+def _row_blocked_product(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """b @ a, one block of _ROW_BLOCK rows of b at a time: a real b times a complex a
+    casts only a block to complex, never all of b. The values are those of b @ a."""
+    out = np.empty(b.shape[:1] + a.shape[1:], dtype=np.result_type(b, a))
+    for start in range(0, b.shape[0], _ROW_BLOCK):
+        np.matmul(b[start : start + _ROW_BLOCK], a, out=out[start : start + _ROW_BLOCK])
+    return out
+
+
 def bath_correlation_function(
     eig: EigenSystem, b_eig: np.ndarray, psi: PureState, grid: TimeGrid,
     preparation: str = "",
@@ -330,7 +340,8 @@ def bath_correlation_function(
     psi_e = psi.to_energy_basis(eig).amplitudes
     e = eig.eigenvalues
     times = grid.times
-    b_mean = float(np.real(np.vdot(psi_e, b_eig @ psi_e)))
+    v = _row_blocked_product(b_eig, psi_e)
+    b_mean = float(np.real(np.vdot(psi_e, v)))
     support = np.nonzero(np.abs(psi_e) > 0)[0]
     if support.size == 1:
         # eigenstate preparation: C(t) = sum_{m != n} |B_nm|^2 e^{i (E_n - E_m) t}
@@ -339,12 +350,11 @@ def bath_correlation_function(
         w2[n] = 0.0
         values = np.exp(1j * np.outer(times, e[n] - e)) @ w2
     else:
-        v = b_eig @ psi_e
         values = np.empty(times.size, dtype=complex)
         for start in range(0, times.size, _TIME_CHUNK):
             t_chunk = times[start : start + _TIME_CHUNK]
             a = v[:, None] * np.exp(-1j * np.outer(e, t_chunk))
-            ba = b_eig @ a
+            ba = _row_blocked_product(b_eig, a)
             u = psi_e.conj()[:, None] * np.exp(1j * np.outer(e, t_chunk))
             values[start : start + _TIME_CHUNK] = np.sum(u * ba, axis=0)
         values = values - b_mean**2

@@ -130,33 +130,44 @@ def _pauli_z_diagonal(n_spins: int, pos: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def pauli_register_operator(n_spins: int, pos: int, axis: str) -> HermitianOperator:
-    """Embed a single-spin Pauli at position pos of an n_spins register."""
+@dataclass(frozen=True)
+class SignedPermutation:
+    """A single-spin Pauli in a register: sigma |i> = phase[i] |perm[i]>."""
+
+    perm: np.ndarray = field(repr=False)
+    phase: np.ndarray = field(repr=False)
+
+
+def pauli_permutation(n_spins: int, pos: int, axis: str) -> SignedPermutation:
+    """Pauli at position pos of an n_spins register as a signed permutation."""
     dim = _check_register(n_spins)
     if not 0 <= pos < n_spins:
         raise ValueError(f"position {pos} outside register of {n_spins} spins")
-    if axis == "z":
-        return HermitianOperator.from_matrix(np.diag(_pauli_z_diagonal(n_spins, pos)))
     idx = np.arange(dim)
+    if axis == "z":
+        return SignedPermutation(idx, _pauli_z_diagonal(n_spins, pos))
     flipped = idx ^ (1 << (n_spins - 1 - pos))
     if axis == "x":
-        m = np.zeros((dim, dim))
-        m[idx, flipped] = 1.0
-        return HermitianOperator.from_matrix(m)
+        return SignedPermutation(flipped, np.ones(dim))
     if axis == "y":
-        bits = (idx >> (n_spins - 1 - pos)) & 1
-        m = np.zeros((dim, dim), dtype=complex)
-        # <flipped| sigma^y |i> = i for bit 0 -> 1, -i for 1 -> 0
-        m[flipped, idx] = np.where(bits == 0, 1j, -1j)
-        return HermitianOperator.from_matrix(m)
+        # sigma^y |0> = i |1>, sigma^y |1> = -i |0>
+        return SignedPermutation(flipped, np.where(flipped > idx, 1j, -1j))
     raise ValueError(f"unknown Pauli axis {axis!r}")
 
 
-def pauli_site_operator(L: int, site: int, axis: str) -> HermitianOperator:
-    """Pauli operator at bath site `site` (1-based) in a bare bath register."""
+def pauli_register_operator(n_spins: int, pos: int, axis: str) -> HermitianOperator:
+    """Dense single-spin Pauli at position pos of an n_spins register."""
+    p = pauli_permutation(n_spins, pos, axis)
+    m = np.zeros((p.perm.size, p.perm.size), dtype=p.phase.dtype)
+    m[p.perm, np.arange(p.perm.size)] = p.phase
+    return HermitianOperator.from_matrix(m)
+
+
+def pauli_site_operator(L: int, site: int, axis: str) -> SignedPermutation:
+    """Pauli at bath site `site` (1-based) of a bare bath register; never dense."""
     if not 1 <= site <= L:
         raise ValueError(f"site {site} out of range 1..{L}")
-    return pauli_register_operator(L, site - 1, axis)
+    return pauli_permutation(L, site - 1, axis)
 
 
 def build_bath_hamiltonian(params: SpinChainParams) -> HermitianOperator:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import DimensionError, HermitianOperator
+from .hamiltonian import DimensionError, HermitianOperator, SignedPermutation
 
 _CACHE_MAGIC = b"ETHEIG1"
 
@@ -58,11 +58,20 @@ def diagonalize(H: HermitianOperator) -> EigenSystem:
     return EigenSystem(eigenvalues=evals, eigenvectors=_fix_signs(evecs), dim=H.dim)
 
 
-def to_eigenbasis(op: HermitianOperator | np.ndarray, eig: EigenSystem) -> np.ndarray:
+def to_eigenbasis(
+    op: HermitianOperator | SignedPermutation | np.ndarray, eig: EigenSystem
+) -> np.ndarray:
+    """V^dagger op V. A signed permutation takes one GEMM on the permuted rows of
+    V, with the permuted factor on the left: that order gives the same bits as
+    the dense two-GEMM product, and no dense op is built."""
+    v = eig.eigenvectors
+    if isinstance(op, SignedPermutation):
+        if op.perm.shape != (eig.dim,):
+            raise DimensionError(f"operator dim {op.perm.size} != eigensystem dim {eig.dim}")
+        return (v[op.perm].conj() * op.phase[:, None]).T @ v
     m = op.matrix if isinstance(op, HermitianOperator) else op
     if m.shape != (eig.dim, eig.dim):
         raise DimensionError(f"operator shape {m.shape} != eigensystem dim {eig.dim}")
-    v = eig.eigenvectors
     return v.conj().T @ m @ v
 
 

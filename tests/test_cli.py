@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ethbath import cli
+from ethbath import cli, spectra
+from ethbath.hamiltonian import HermitianOperator, SignedPermutation
 
 
 def base_config(**overrides):
@@ -136,6 +137,40 @@ def test_validate_flags_weak_coupling(config_file, tmp_path, cache_dir, capsys):
     assert run_kind("validate", config_file(cfg), out, cache_dir) == 0
     report = json.loads((out / "validate.json").read_text())
     assert any("level spacing" in w for w in report["warnings"])
+
+
+def test_validate_warns_on_explicit_energy_outside_fit_domain(config_file, tmp_path, cache_dir):
+    # the lint reads E0 and beta as the other kinds do, so an explicit E counts
+    cfg = base_config(state={"kind": "eigenstate", "E": -100.0, "deltaE": 0.4})
+    assert run_kind("eth-stats", config_file(cfg), tmp_path / "eth", cache_dir) == 3
+    out = tmp_path / "out"
+    assert run_kind("validate", config_file(cfg), out, cache_dir) == 0
+    report = json.loads((out / "validate.json").read_text())
+    assert "target E = -100.0 lies outside the entropy-fit domain" in report["warnings"]
+
+
+def test_bath_side_builds_no_dense_pauli(config_file, tmp_path, cache_dir, monkeypatch):
+    # B_nm comes from the signed permutation of the bath Pauli, never a 2^L x 2^L matrix
+    cfg_path = config_file(base_config(operators=[[1, "x"], [3, "y"], [6, "z"]]))
+    assert run_kind("thermo", cfg_path, tmp_path / "warm", cache_dir) == 0
+    transformed, dims = [], []
+    to_eigenbasis, post_init = spectra.to_eigenbasis, HermitianOperator.__post_init__
+
+    def spy_transform(op, eig):
+        transformed.append(op)
+        return to_eigenbasis(op, eig)
+
+    def spy_post_init(self):
+        dims.append(self.dim)
+        post_init(self)
+
+    monkeypatch.setattr(spectra, "to_eigenbasis", spy_transform)
+    monkeypatch.setattr(HermitianOperator, "__post_init__", spy_post_init)
+    for kind in ("multi-op-rates", "eth-stats"):  # eth-stats reads BathModel.b_eig
+        assert run_kind(kind, cfg_path, tmp_path / kind, cache_dir) == 0
+    assert len(transformed) == 4
+    assert all(isinstance(op, SignedPermutation) for op in transformed)
+    assert 2**6 not in dims
 
 
 # small enough to run every kind on the L=6 base config

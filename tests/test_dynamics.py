@@ -173,9 +173,9 @@ def test_mean_force_state_reduces_to_gibbs_at_zero_coupling():
 def test_bcf_eigenstate_preparation_matches_dense_reference():
     bath = SpinChainParams.chaotic(6)
     eig = spectra.diagonalize(build_bath_hamiltonian(bath))
-    from ethbath.hamiltonian import pauli_site_operator
+    from ethbath.hamiltonian import pauli_register_operator
 
-    b = pauli_site_operator(bath.L, 1, "x").matrix
+    b = pauli_register_operator(bath.L, 0, "x").matrix
     b_eig = spectra.to_eigenbasis(b, eig)
     psi = states.eigenstate_preparation(eig, float(np.median(eig.eigenvalues)))
     grid = dynamics.TimeGrid(t_max=5.0, dt=0.25)
@@ -251,7 +251,7 @@ def test_typicality_spread_basics():
     eig = spectra.diagonalize(build_bath_hamiltonian(bath))
     from ethbath.hamiltonian import pauli_site_operator
 
-    b_eig = spectra.to_eigenbasis(pauli_site_operator(bath.L, 1, "x").matrix, eig)
+    b_eig = spectra.to_eigenbasis(pauli_site_operator(bath.L, 1, "x"), eig)
     e0 = float(np.median(eig.eigenvalues))
     grid = dynamics.TimeGrid(t_max=4.0, dt=0.5)
     window = states.microcanonical_window(eig, e0, 2.0)

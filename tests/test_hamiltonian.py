@@ -11,6 +11,7 @@ from ethbath.hamiltonian import (
     build_bath_hamiltonian,
     build_total_hamiltonian,
     model_spec_key,
+    pauli_permutation,
     pauli_register_operator,
     pauli_site_operator,
 )
@@ -31,8 +32,10 @@ def kron_chain(n_spins, pos, axis):
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
 @pytest.mark.parametrize("pos", [0, 1, 2])
 def test_pauli_register_matches_kron(axis, pos):
-    got = pauli_register_operator(3, pos, axis).matrix
-    np.testing.assert_allclose(got, kron_chain(3, pos, axis), atol=1e-15)
+    for n_spins in range(pos + 1, 6):
+        got = pauli_register_operator(n_spins, pos, axis).matrix
+        assert got.dtype == (complex if axis == "y" else float)
+        np.testing.assert_array_equal(got, kron_chain(n_spins, pos, axis))
 
 
 @settings(max_examples=30, deadline=None)
@@ -50,18 +53,25 @@ def test_pauli_involution_and_hermiticity(n, axis, data):
 
 def test_pauli_site_operator_is_one_based():
     # bath site s sits at register position s-1 of the bare bath register
-    np.testing.assert_array_equal(
-        pauli_site_operator(3, 1, "z").matrix,
-        pauli_register_operator(3, 0, "z").matrix,
-    )
-    np.testing.assert_array_equal(
-        pauli_site_operator(3, 3, "x").matrix,
-        pauli_register_operator(3, 2, "x").matrix,
-    )
+    for site, pos, axis in [(1, 0, "z"), (3, 2, "x"), (2, 1, "y")]:
+        got, want = pauli_site_operator(3, site, axis), pauli_permutation(3, pos, axis)
+        np.testing.assert_array_equal(got.perm, want.perm)
+        np.testing.assert_array_equal(got.phase, want.phase)
     with pytest.raises(ValueError):
         pauli_site_operator(3, 0, "z")
     with pytest.raises(ValueError):
         pauli_site_operator(3, 4, "z")
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_pauli_permutation_acts_on_basis_states(axis):
+    # column i of the Kronecker-product Pauli is phase[i] times basis state perm[i]
+    p = pauli_permutation(3, 1, axis)
+    dense = kron_chain(3, 1, axis)
+    for i in range(8):
+        expected = np.zeros(8, dtype=complex)
+        expected[p.perm[i]] = p.phase[i]
+        np.testing.assert_array_equal(dense[:, i], expected)
 
 
 def reference_bath_hamiltonian(p: SpinChainParams) -> np.ndarray:

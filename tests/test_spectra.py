@@ -1,8 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
 
 from ethbath import spectra
-from ethbath.hamiltonian import HermitianOperator, SpinChainParams, build_bath_hamiltonian
+from ethbath.hamiltonian import (
+    DimensionError,
+    HermitianOperator,
+    SpinChainParams,
+    build_bath_hamiltonian,
+    pauli_permutation,
+    pauli_register_operator,
+)
 
 GOE_MEAN_RATIO = 0.5307
 POISSON_MEAN_RATIO = 2.0 * np.log(2.0) - 1.0  # 0.38629...
@@ -33,6 +42,36 @@ def test_to_eigenbasis_diagonalizes_hamiltonian():
     eig = spectra.diagonalize(h)
     h_eig = spectra.to_eigenbasis(h.matrix, eig)
     np.testing.assert_allclose(h_eig, np.diag(eig.eigenvalues), atol=1e-11)
+
+
+@functools.lru_cache(maxsize=None)
+def chain_eig(L: int) -> spectra.EigenSystem:
+    return spectra.diagonalize(build_bath_hamiltonian(SpinChainParams.chaotic(L)))
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("L", [4, 5, 6, 7, 8])
+def test_signed_permutation_transform_equals_dense(L, where, axis):
+    pos = {"first": 0, "middle": L // 2, "last": L - 1}[where]
+    eig = chain_eig(L)
+    v = eig.eigenvectors
+    dense = v.conj().T @ pauli_register_operator(L, pos, axis).matrix @ v
+    assert np.array_equal(spectra.to_eigenbasis(pauli_permutation(L, pos, axis), eig), dense)
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_signed_permutation_transform_complex_eigenvectors(axis, rng):
+    a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    eig = spectra.diagonalize(HermitianOperator.from_matrix(a + a.conj().T))
+    v = eig.eigenvectors
+    dense = v.conj().T @ pauli_register_operator(5, 2, axis).matrix @ v
+    assert np.array_equal(spectra.to_eigenbasis(pauli_permutation(5, 2, axis), eig), dense)
+
+
+def test_signed_permutation_dimension_mismatch():
+    with pytest.raises(DimensionError):
+        spectra.to_eigenbasis(pauli_permutation(3, 0, "x"), chain_eig(4))
 
 
 def test_gap_ratios_goe_oracle(rng):
