@@ -41,6 +41,7 @@ KINDS = (
     "scaling", "levelstats", "typicality", "multi-op-rates", "validate",
 )
 
+STATE_KINDS = ("eigenstate", "typical_mc", "product")
 DEFAULT_FREQ_BIN = {"chaotic": 0.05, "integrable": 0.4}
 DEFAULT_WINDOW = 0.3
 
@@ -60,6 +61,16 @@ class StageError(RuntimeError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _option(raw: dict, name: str, default, parse):
+    """parse(value) of the option `name` ("key" or "section.key") of a raw config, or
+    of `default` where it is absent; a value parse rejects is a config error."""
+    *section, key = name.split(".")
+    try:
+        return parse((raw.get(section[0], {}) if section else raw).get(key, default))
+    except (AttributeError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -229,10 +240,7 @@ def parse_config(kind: str, raw: dict, out_dir: str, cache_dir: str | None, seed
 
     state = dict(raw.get("state", {}))
     state.setdefault("kind", "eigenstate")
-    _require(
-        state["kind"] in ("eigenstate", "typical_mc", "product"),
-        f"unknown state kind {state['kind']!r}",
-    )
+    _require(state["kind"] in STATE_KINDS, f"unknown state kind {state['kind']!r}")
     state.setdefault("deltaE", 0.3)
 
     g_cfg = raw.get("grid", {})
@@ -333,7 +341,9 @@ def _run_eth_stats(cfg: ExperimentConfig, out: str) -> list[str]:
 def _run_thermo(cfg: ExperimentConfig, out: str) -> list[str]:
     eig = cfg.model.eig
     dos = thermo.density_of_states(eig)
-    fit = thermo.entropy_fit(dos, degree=int(cfg.raw.get("thermo", {}).get("degree", 2)))
+    degree = _option(cfg.raw, "thermo.degree", 2, int)
+    _require(degree >= 2, f"thermo.degree must be >= 2, got {degree}")
+    fit = thermo.entropy_fit(dos, degree=degree)
     rows = []
     for center, count in zip(dos.centers, dos.counts):
         if count == 0 or not (fit.e_lo <= center <= fit.e_hi):
@@ -472,17 +482,21 @@ def _run_dynamics(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def _run_scaling(cfg: ExperimentConfig, out: str) -> list[str]:
-    sc = cfg.raw.get("scaling", {})
-    l_values = [int(x) for x in sc.get("L_values", [6, 8, 10, 12])]
-    state_kinds = list(sc.get("state_kinds", ["eigenstate", "typical_mc"]))
-    t_final = float(sc.get("t_final", cfg.grid.t_max))
-    _require(t_final <= cfg.grid.t_max, "scaling.t_final exceeds grid.t_max")
-
     make_bath = (
         SpinChainParams.chaotic if cfg.preset != "integrable" else SpinChainParams.integrable
     )
+    baths = _option(
+        cfg.raw, "scaling.L_values", [6, 8, 10, 12], lambda xs: [make_bath(int(x)) for x in xs]
+    )
+    _require(len(baths) > 0, "scaling.L_values is empty")
+    state_kinds = _option(cfg.raw, "scaling.state_kinds", ["eigenstate", "typical_mc"], list)
+    unknown = [kind for kind in state_kinds if kind not in STATE_KINDS]
+    _require(not unknown, f"scaling.state_kinds: unknown state kinds {unknown}")
+    t_final = _option(cfg.raw, "scaling.t_final", cfg.grid.t_max, float)
+    _require(t_final <= cfg.grid.t_max, "scaling.t_final exceeds grid.t_max")
+
     # Lindblad reference from the largest bath in the sweep
-    ref = replace(cfg.model, bath=make_bath(max(l_values)))
+    ref = replace(cfg.model, bath=max(baths, key=lambda b: b.L))
     e0_ref = ref.e0(cfg.state)
     beta = ref.beta(cfg.state, e0_ref)
     psi_sys = states.system_initial_state(cfg.state.get("system", "polarized"))
@@ -494,12 +508,12 @@ def _run_scaling(cfg: ExperimentConfig, out: str) -> list[str]:
         psi_ref = ref.prepare(state, e0_ref, cfg.seed)
         lindblad, _ = ref.lindblad(ref.table(e0_ref, beta, cfg.eth_opts), beta, psi_ref)
         lind = dynamics.lindblad_evolve_sampled(lindblad, rho0, cfg.grid)
-        for L in l_values:
-            model = replace(cfg.model, bath=make_bath(L))
+        for bath in baths:
+            model = replace(cfg.model, bath=bath)
             psi_bath = model.prepare(state, model.e0(state), cfg.seed)
             exact = model.exact_evolve(psi_sys, psi_bath, cfg.grid)
             avg = dynamics.time_averaged_trace_distance(exact, lind, t_final)
-            rows.append((L, avg, state_kind))
+            rows.append((bath.L, avg, state_kind))
     path = os.path.join(out, "scaling.csv")
     _write_csv(path, "L,avg_trace_distance,state_kind", rows)
     return [path]
@@ -521,11 +535,12 @@ def _run_levelstats(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def _run_typicality(cfg: ExperimentConfig, out: str) -> list[str]:
+    n_samples = _option(cfg.raw, "typicality.n_samples", 50, int)
+    _require(n_samples >= 2, f"typicality.n_samples must be >= 2, got {n_samples}")
     model = cfg.model
     window = states.microcanonical_window(
         model.eig, model.e0(cfg.state), float(cfg.state["deltaE"])
     )
-    n_samples = int(cfg.raw.get("typicality", {}).get("n_samples", 50))
     report = dynamics.typicality_spread(
         model.eig, model.b_eig, window, n_samples, cfg.seed, cfg.grid
     )
@@ -558,10 +573,12 @@ def _run_typicality(cfg: ExperimentConfig, out: str) -> list[str]:
 def _run_multi_op_rates(cfg: ExperimentConfig, out: str) -> list[str]:
     # the operators list replaces the coupling term, so model.b_eig stays unbuilt
     model = cfg.model
-    ops = [
-        spectra.to_eigenbasis(pauli_site_operator(model.bath.L, int(site), str(axis)), model.eig)
-        for site, axis in cfg.raw.get("operators", [[1, "x"], [1, "z"]])
-    ]
+    paulis = _option(
+        cfg.raw, "operators", [[1, "x"], [1, "z"]],
+        lambda ops: [pauli_site_operator(model.bath.L, int(site), str(axis)) for site, axis in ops],
+    )
+    _require(len(paulis) >= 2, f"operators: need at least two, got {len(paulis)}")
+    ops = [spectra.to_eigenbasis(pauli, model.eig) for pauli in paulis]
     e0 = model.e0(cfg.state)
     beta = model.beta(cfg.state, e0)
     matrices = eth.rate_matrix_multi(

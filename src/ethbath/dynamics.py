@@ -12,7 +12,7 @@ import numpy as np
 from .eth import SpectralFunctionTable
 from .hamiltonian import DimensionError, SystemParams
 from .spectra import EigenSystem
-from .states import MicrocanonicalWindow, PureState, counter_gaussians
+from .states import MicrocanonicalWindow, PureState, typical_microcanonical_state
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -323,12 +323,14 @@ class BathCorrelation:
             raise ValueError(f"C(0) = {c0} must be real and nonnegative")
 
 
-def _row_blocked_product(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """b @ a, one block of _ROW_BLOCK rows of b at a time: a real b times a complex a
-    casts only a block to complex, never all of b. The values are those of b @ a."""
-    out = np.empty(b.shape[:1] + a.shape[1:], dtype=np.result_type(b, a))
-    for start in range(0, b.shape[0], _ROW_BLOCK):
-        np.matmul(b[start : start + _ROW_BLOCK], a, out=out[start : start + _ROW_BLOCK])
+def _row_blocked_product(b: np.ndarray, a: np.ndarray, rows: np.ndarray | None = None):
+    """b[rows] @ a (all rows by default), _ROW_BLOCK rows of b at a time: a real b times
+    a complex a casts, and a gather copies, one block of b, never all of it."""
+    n = b.shape[0] if rows is None else rows.size
+    out = np.empty((n,) + a.shape[1:], dtype=np.result_type(b, a))
+    for start in range(0, n, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        np.matmul(b[block] if rows is None else b[rows[block]], a, out=out[block])
     return out
 
 
@@ -336,28 +338,23 @@ def bath_correlation_function(
     eig: EigenSystem, b_eig: np.ndarray, psi: PureState, grid: TimeGrid,
     preparation: str = "",
 ) -> BathCorrelation:
-    """C(t, 0) = <psi| B(t) B(0) |psi> - <psi|B|psi>^2 by spectral sums."""
+    """C(t, 0) = <psi| B(t) B(0) |psi> - <psi|B|psi>^2 as a sum over the support of psi,
+    sum_{i in supp} psi_i^* e^{i E_i t} sum_m B_im e^{-i E_m t} (B psi)_m - <B>^2, at
+    |supp| * D work per time (an eigenstate is a support of size one)."""
     psi_e = psi.to_energy_basis(eig).amplitudes
     e = eig.eigenvalues
     times = grid.times
     v = _row_blocked_product(b_eig, psi_e)
     b_mean = float(np.real(np.vdot(psi_e, v)))
     support = np.nonzero(np.abs(psi_e) > 0)[0]
-    if support.size == 1:
-        # eigenstate preparation: C(t) = sum_{m != n} |B_nm|^2 e^{i (E_n - E_m) t}
-        n = int(support[0])
-        w2 = np.abs(b_eig[n, :]) ** 2
-        w2[n] = 0.0
-        values = np.exp(1j * np.outer(times, e[n] - e)) @ w2
-    else:
-        values = np.empty(times.size, dtype=complex)
-        for start in range(0, times.size, _TIME_CHUNK):
-            t_chunk = times[start : start + _TIME_CHUNK]
-            a = v[:, None] * np.exp(-1j * np.outer(e, t_chunk))
-            ba = _row_blocked_product(b_eig, a)
-            u = psi_e.conj()[:, None] * np.exp(1j * np.outer(e, t_chunk))
-            values[start : start + _TIME_CHUNK] = np.sum(u * ba, axis=0)
-        values = values - b_mean**2
+    values = np.empty(times.size, dtype=complex)
+    for start in range(0, times.size, _TIME_CHUNK):
+        t_chunk = times[start : start + _TIME_CHUNK]
+        a = v[:, None] * np.exp(-1j * np.outer(e, t_chunk))
+        ba = _row_blocked_product(b_eig, a, support)
+        u = psi_e[support].conj()[:, None] * np.exp(1j * np.outer(e[support], t_chunk))
+        values[start : start + _TIME_CHUNK] = np.sum(u * ba, axis=0)
+    values = values - b_mean**2
     return BathCorrelation(
         times=times,
         values=values,
@@ -484,41 +481,25 @@ def typicality_spread(
     d_w = members.size
     e_w = eig.eigenvalues[members]
     b_win = b_eig[np.ix_(members, members)]
-    b_rows = b_eig[members, :]
-    e_all = eig.eigenvalues
     times = grid.times
 
     mc_average = float(np.mean(np.real(np.diagonal(b_win))))
 
     # microcanonical-averaged BCF: mean over window eigenstates of the
     # eigenstate BCF sum_{m != n} |B_nm|^2 e^{i (E_n - E_m) t}
-    p = np.abs(b_rows) ** 2
+    p = np.abs(b_eig[members, :]) ** 2
     p[np.arange(d_w), members] = 0.0
     phase_w = np.exp(1j * np.outer(e_w, times))
-    mc_bcf = np.mean(phase_w * (p @ np.exp(-1j * np.outer(e_all, times))), axis=0)
-
-    # eigenstate-independent two-time kernel, window block of B(t) B(0)
-    kernels = np.empty((times.size, d_w, d_w), dtype=complex)
-    for j, t in enumerate(times):
-        mid = (b_rows * np.exp(-1j * e_all * t)) @ b_rows.conj().T
-        kernels[j] = (np.exp(1j * e_w * t)[:, None]) * mid
-
-    coeffs = np.empty((n_samples, d_w))
-    for s in range(n_samples):
-        g = counter_gaussians(seed + s, d_w)
-        coeffs[s] = g / np.linalg.norm(g)
+    mc_bcf = np.mean(phase_w * (p @ np.exp(-1j * np.outer(eig.eigenvalues, times))), axis=0)
 
     devs_b = np.empty((n_samples, times.size))
     devs_c = np.empty((n_samples, times.size))
     for s in range(n_samples):
-        psi = coeffs[s]
-        phases = np.exp(-1j * np.outer(e_w, times)) * psi[:, None]  # (d_w, nt)
+        psi = typical_microcanonical_state(eig, window.e0, window.delta_e, seed + s)
+        phases = np.exp(-1j * np.outer(e_w, times)) * psi.amplitudes[members, None]
         b_t = np.real(np.einsum("it,ij,jt->t", phases.conj(), b_win, phases))
         devs_b[s] = np.abs(b_t - mc_average)
-        b_mean_s = b_t[0]
-        # the e^{+/- i E t} phases live inside the kernel, so the quadratic
-        # form uses the bare coefficients
-        c_t = np.einsum("i,tij,j->t", psi, kernels, psi) - b_mean_s**2
+        c_t = bath_correlation_function(eig, b_eig, psi, grid).values
         devs_c[s] = np.abs(c_t - mc_bcf)
     return TypicalitySpread(
         window_dim=d_w,

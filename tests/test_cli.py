@@ -218,6 +218,39 @@ def test_config_error_inside_runner_exits_2(config_file, tmp_path, cache_dir, ca
     assert "t_final" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, extras, named",
+    [
+        pytest.param("multi-op-rates", {"operators": [[7, "x"], [1, "z"]]}, "operators",
+                     id="site-out-of-range"),
+        pytest.param("multi-op-rates", {"operators": [[1, "w"], [1, "z"]]}, "operators",
+                     id="unknown-axis"),
+        pytest.param("multi-op-rates", {"operators": [[1, "x"]]}, "operators",
+                     id="single-operator"),
+        pytest.param("typicality", {"typicality": {"n_samples": 1}}, "n_samples",
+                     id="one-sample"),
+        pytest.param("typicality", {"typicality": {"n_samples": "many"}}, "n_samples",
+                     id="non-integer-samples"),
+        pytest.param("thermo", {"thermo": {"degree": 1}}, "degree", id="linear-fit"),
+        pytest.param("scaling", {"scaling": {"L_values": ["six"], "t_final": 10.0}},
+                     "L_values", id="non-integer-size"),
+        pytest.param("scaling", {"scaling": {"L_values": [1], "t_final": 10.0}},
+                     "L_values", id="size-too-small"),
+        pytest.param("scaling", {"scaling": {"L_values": [17], "t_final": 10.0}},
+                     "L_values", id="size-too-large"),
+        pytest.param("scaling", {"scaling": {"L_values": [6], "state_kinds": ["bogus"],
+                                             "t_final": 10.0}},
+                     "'bogus'", id="unknown-state-kind"),
+    ],
+)
+def test_malformed_kind_option_exits_2(kind, extras, named, config_file, tmp_path, cache_dir,
+                                       capsys):
+    cfg_path = config_file(base_config(**extras))
+    assert run_kind(kind, cfg_path, tmp_path / "out", cache_dir) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+
+
 def test_failing_run_keeps_foreign_files_and_writes_nothing(config_file, tmp_path, cache_dir):
     out = tmp_path / "out"
     out.mkdir()

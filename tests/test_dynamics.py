@@ -170,25 +170,32 @@ def test_mean_force_state_reduces_to_gibbs_at_zero_coupling():
     )
 
 
-def test_bcf_eigenstate_preparation_matches_dense_reference():
+@pytest.mark.parametrize("preparation", ["eigenstate", "typical_mc", "product"])
+def test_bcf_eigenstate_preparation_matches_dense_reference(preparation):
+    # an eigenstate has a support of one eigenstate, a typical state that of its
+    # window and a product state all of them
     bath = SpinChainParams.chaotic(6)
     eig = spectra.diagonalize(build_bath_hamiltonian(bath))
     from ethbath.hamiltonian import pauli_register_operator
 
     b = pauli_register_operator(bath.L, 0, "x").matrix
     b_eig = spectra.to_eigenbasis(b, eig)
-    psi = states.eigenstate_preparation(eig, float(np.median(eig.eigenvalues)))
+    e0 = float(np.median(eig.eigenvalues))
+    psi = {
+        "eigenstate": lambda: states.eigenstate_preparation(eig, e0),
+        "typical_mc": lambda: states.typical_microcanonical_state(eig, e0, 1.0, 3),
+        "product": lambda: states.product_state_with_energy(bath, e0),
+    }[preparation]()
     grid = dynamics.TimeGrid(t_max=5.0, dt=0.25)
     bcf = dynamics.bath_correlation_function(eig, b_eig, psi, grid)
 
     # dense reference: <psi| B(t) B |psi> - <B>^2 via explicit matrix exponentials
-    n = int(np.nonzero(psi.amplitudes)[0][0])
-    v = eig.eigenvectors[:, n]
+    v = psi.to_computational_basis(eig).amplitudes
     ref = []
     for t in grid.times:
         u = eig.eigenvectors @ np.diag(np.exp(1j * eig.eigenvalues * t)) @ eig.eigenvectors.conj().T
         bt = u @ b @ u.conj().T
-        ref.append(v @ bt @ b @ v - (v @ b @ v) ** 2)
+        ref.append(v.conj() @ bt @ b @ v - (v.conj() @ b @ v) ** 2)
     np.testing.assert_allclose(bcf.values, ref, atol=1e-10)
     assert bcf.variance_at_zero == pytest.approx(float(np.real(ref[0])), abs=1e-10)
 
@@ -266,3 +273,30 @@ def test_typicality_spread_basics():
     eps = np.linspace(0.0, rep.deviations_b.max(), 10)
     fr = [rep.exceedance_fraction(e) for e in eps]
     assert all(a >= b for a, b in zip(fr, fr[1:]))
+
+
+def test_typicality_samples_are_the_typical_states():
+    # sample s is the bath's typical state for seed + s, and its C(t) is that
+    # state's bath correlation function, bit for bit
+    bath = SpinChainParams.chaotic(8)
+    eig = spectra.diagonalize(build_bath_hamiltonian(bath))
+    from ethbath.hamiltonian import pauli_site_operator
+
+    b_eig = spectra.to_eigenbasis(pauli_site_operator(bath.L, 1, "x"), eig)
+    e0, delta_e, seed = float(np.median(eig.eigenvalues)), 2.0, 5
+    grid = dynamics.TimeGrid(t_max=4.0, dt=0.5)
+    window = states.microcanonical_window(eig, e0, delta_e)
+    rep = dynamics.typicality_spread(eig, b_eig, window, 4, seed, grid)
+
+    # the microcanonical average of the eigenstate BCFs, as typicality_spread forms it
+    members = window.members
+    p = np.abs(b_eig[members, :]) ** 2
+    p[np.arange(members.size), members] = 0.0
+    phase_w = np.exp(1j * np.outer(eig.eigenvalues[members], grid.times))
+    mc_bcf = np.mean(
+        phase_w * (p @ np.exp(-1j * np.outer(eig.eigenvalues, grid.times))), axis=0
+    )
+    for s in range(4):
+        psi = states.typical_microcanonical_state(eig, e0, delta_e, seed + s)
+        c_t = dynamics.bath_correlation_function(eig, b_eig, psi, grid).values
+        assert np.array_equal(rep.deviations_c[s], np.abs(c_t - mc_bcf)), s
