@@ -13,6 +13,8 @@ import numpy as np
 from .hamiltonian import DimensionError, HermitianOperator, SignedPermutation
 
 _CACHE_MAGIC = b"ETHEIG1"
+_HEADER_BYTES = 48
+_BLOCK = 512  # rows of B per GEMM in to_eigenbasis
 
 
 class EigensolverError(RuntimeError):
@@ -61,18 +63,37 @@ def diagonalize(H: HermitianOperator) -> EigenSystem:
 def to_eigenbasis(
     op: HermitianOperator | SignedPermutation | np.ndarray, eig: EigenSystem
 ) -> np.ndarray:
-    """V^dagger op V. A signed permutation takes one GEMM on the permuted rows of
-    V, with the permuted factor on the left: that order gives the same bits as
-    the dense two-GEMM product, and no dense op is built."""
+    """V^dagger op V for a Hermitian op, computed on its upper block-triangle.
+
+    Rows I of the result, from column I0 = I[0] on, are (op V[:, I])^dagger
+    V[:, I0:]: one GEMM per block of _BLOCK rows, about half the flops of the
+    full product. The strict lower triangle is the exact conjugate mirror of the
+    upper one. The left factor is that of the full product v.conj().T @ op @ v
+    (for a signed permutation, a gather of V's rows; no dense op is built), so
+    the upper triangle has that product's bits.
+    """
     v = eig.eigenvectors
     if isinstance(op, SignedPermutation):
         if op.perm.shape != (eig.dim,):
             raise DimensionError(f"operator dim {op.perm.size} != eigensystem dim {eig.dim}")
-        return (v[op.perm].conj() * op.phase[:, None]).T @ v
-    m = op.matrix if isinstance(op, HermitianOperator) else op
-    if m.shape != (eig.dim, eig.dim):
-        raise DimensionError(f"operator shape {m.shape} != eigensystem dim {eig.dim}")
-    return v.conj().T @ m @ v
+        left = lambda rows: (v[op.perm, rows].conj() * op.phase[:, None]).T
+        dtype = np.result_type(v, op.phase)
+    else:
+        m = op.matrix if isinstance(op, HermitianOperator) else op
+        if m.shape != (eig.dim, eig.dim):
+            raise DimensionError(f"operator shape {m.shape} != eigensystem dim {eig.dim}")
+        left = lambda rows: v[:, rows].conj().T @ m
+        dtype = np.result_type(v, m)
+    out = np.empty((eig.dim, eig.dim), dtype)
+    for i0 in range(0, eig.dim, _BLOCK):
+        i1 = min(i0 + _BLOCK, eig.dim)
+        band = out[i0:i1, i0:]
+        np.matmul(left(slice(i0, i1)), v[:, i0:], out=band)
+        np.conjugate(band[:, i1 - i0 :].T, out=out[i1:, i0:i1])
+        diag = band[:, : i1 - i0]
+        lower = np.tril_indices(i1 - i0, -1)
+        diag[lower] = diag.T[lower].conj()
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,18 +153,14 @@ def save_eigensystem(path: str | os.PathLike, eig: EigenSystem, key: str) -> Non
         + bytes([1 if complex_flag else 0])
         + _content_hash(key)
     )
-    vecs = eig.eigenvectors.astype(complex if complex_flag else float)
-    payload = (
-        np.ascontiguousarray(eig.eigenvalues, dtype="<f8").tobytes()
-        + np.ascontiguousarray(vecs).astype("<c16" if complex_flag else "<f8").tobytes()
-    )
     directory = os.path.dirname(os.fspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            fh.write(payload)
+            np.asarray(eig.eigenvalues, "<f8").tofile(fh)
+            np.asarray(eig.eigenvectors, "<c16" if complex_flag else "<f8").tofile(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -152,31 +169,25 @@ def save_eigensystem(path: str | os.PathLike, eig: EigenSystem, key: str) -> Non
 
 
 def load_eigensystem(path: str | os.PathLike, key: str | None = None) -> EigenSystem:
+    """Check the header, size and key before any payload is read, then read the
+    eigenvalues and eigenvectors straight into their arrays."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:7] != _CACHE_MAGIC:
-        raise CacheError(f"{path}: bad magic")
-    dim = int.from_bytes(raw[7:15], "little")
-    complex_flag = raw[15] != 0
-    itemsize = 16 if complex_flag else 8
-    expected = 48 + 8 * dim + itemsize * dim * dim
-    if len(raw) != expected:
-        raise CacheError(f"{path}: size {len(raw)} != expected {expected} (truncated?)")
-    stored_hash = raw[16:48]
-    if key is not None and stored_hash != _content_hash(key):
-        raise CacheError(f"{path}: content hash mismatch for the requested model")
-    offset = 48
-    evals = np.frombuffer(raw, dtype="<f8", count=dim, offset=offset).copy()
-    offset += 8 * dim
-    if complex_flag:
-        evecs = np.frombuffer(raw, dtype="<c16", count=dim * dim, offset=offset)
-    else:
-        evecs = np.frombuffer(raw, dtype="<f8", count=dim * dim, offset=offset)
+        header = fh.read(_HEADER_BYTES)
+        if len(header) != _HEADER_BYTES or header[:7] != _CACHE_MAGIC:
+            raise CacheError(f"{path}: bad magic or truncated header")
+        dim = int.from_bytes(header[7:15], "little")
+        vec_dtype = "<c16" if header[15] != 0 else "<f8"
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER_BYTES + 8 * dim + np.dtype(vec_dtype).itemsize * dim * dim
+        if size != expected:
+            raise CacheError(f"{path}: size {size} != expected {expected} (truncated?)")
+        if key is not None and header[16:] != _content_hash(key):
+            raise CacheError(f"{path}: content hash mismatch for the requested model")
+        evals = np.fromfile(fh, dtype="<f8", count=dim)
+        evecs = np.fromfile(fh, dtype=vec_dtype, count=dim * dim)
     if evecs.size != dim * dim:
         raise CacheError(f"{path}: truncated eigenvector block")
-    return EigenSystem(
-        eigenvalues=evals, eigenvectors=evecs.reshape(dim, dim).copy(), dim=dim
-    )
+    return EigenSystem(eigenvalues=evals, eigenvectors=evecs.reshape(dim, dim), dim=dim)
 
 
 def cached_diagonalize(

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -49,24 +50,58 @@ def chain_eig(L: int) -> spectra.EigenSystem:
     return spectra.diagonalize(build_bath_hamiltonian(SpinChainParams.chaotic(L)))
 
 
+def assert_mirrored_upper_triangle(b, dense):
+    """The upper triangle of b, diagonal included, has the bits of dense (signs of
+    zero too); its strict lower triangle is the exact conjugate mirror."""
+    assert b.dtype == dense.dtype
+    assert np.array_equal(np.triu(b).view(np.uint64), np.triu(dense).view(np.uint64))
+    lower = np.tril_indices(b.shape[0], -1)
+    assert np.array_equal(b[lower].view(np.uint64), b.T[lower].conj().view(np.uint64))
+
+
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
-@pytest.mark.parametrize("L", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("L", [4, 5, 6, 7, 8, 10, 11])
 def test_signed_permutation_transform_equals_dense(L, where, axis):
+    # L = 10 and 11 span two and four row blocks of to_eigenbasis
     pos = {"first": 0, "middle": L // 2, "last": L - 1}[where]
     eig = chain_eig(L)
     v = eig.eigenvectors
     dense = v.conj().T @ pauli_register_operator(L, pos, axis).matrix @ v
-    assert np.array_equal(spectra.to_eigenbasis(pauli_permutation(L, pos, axis), eig), dense)
+    b = spectra.to_eigenbasis(pauli_permutation(L, pos, axis), eig)
+    assert_mirrored_upper_triangle(b, dense)
+
+
+def random_complex_eig(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return spectra.diagonalize(HermitianOperator.from_matrix(a + a.conj().T))
+
+
+def check_complex_eigenvector_transform(rng, n_spins, pos, axis):
+    eig = random_complex_eig(rng, 2**n_spins)
+    v = eig.eigenvectors
+    dense = v.conj().T @ pauli_register_operator(n_spins, pos, axis).matrix @ v
+    b = spectra.to_eigenbasis(pauli_permutation(n_spins, pos, axis), eig)
+    assert_mirrored_upper_triangle(b, dense)
 
 
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
 def test_signed_permutation_transform_complex_eigenvectors(axis, rng):
-    a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-    eig = spectra.diagonalize(HermitianOperator.from_matrix(a + a.conj().T))
+    check_complex_eigenvector_transform(rng, 5, 2, axis)
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_signed_permutation_transform_complex_eigenvectors_across_blocks(axis, rng):
+    check_complex_eigenvector_transform(rng, 10, 7, axis)
+
+
+def test_dense_transform_equals_dense_product(rng):
+    # the dense branch goes through the same row blocks as a signed permutation
+    eig = random_complex_eig(rng, 1024)
     v = eig.eigenvectors
-    dense = v.conj().T @ pauli_register_operator(5, 2, axis).matrix @ v
-    assert np.array_equal(spectra.to_eigenbasis(pauli_permutation(5, 2, axis), eig), dense)
+    a = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+    m = a + a.conj().T
+    assert_mirrored_upper_triangle(spectra.to_eigenbasis(m, eig), v.conj().T @ m @ v)
 
 
 def test_signed_permutation_dimension_mismatch():
@@ -110,6 +145,42 @@ def test_cache_roundtrip(tmp_path):
     back = spectra.load_eigensystem(path, key="model-a")
     np.testing.assert_array_equal(back.eigenvalues, eig.eigenvalues)
     np.testing.assert_array_equal(back.eigenvectors, eig.eigenvectors)
+
+
+def test_cache_roundtrip_complex_eigenvectors(tmp_path, rng):
+    eig = random_complex_eig(rng, 16)
+    path = tmp_path / "eig.bin"
+    spectra.save_eigensystem(path, eig, key="model-c")
+    back = spectra.load_eigensystem(path, key="model-c")
+    assert back.eigenvectors.dtype == np.complex128 and back.dim == 16
+    np.testing.assert_array_equal(back.eigenvalues, eig.eigenvalues)
+    np.testing.assert_array_equal(back.eigenvectors, eig.eigenvectors)
+
+
+@pytest.mark.parametrize("complex_vectors", [False, True])
+def test_cache_file_is_header_then_little_endian_arrays(tmp_path, rng, complex_vectors):
+    eig = random_complex_eig(rng, 8) if complex_vectors else chain_eig(3)
+    path = tmp_path / "eig.bin"
+    spectra.save_eigensystem(path, eig, key="k")
+    expected = (
+        b"ETHEIG1"
+        + (8).to_bytes(8, "little")
+        + bytes([int(complex_vectors)])
+        + hashlib.sha256(b"k").digest()
+        + eig.eigenvalues.astype("<f8").tobytes()
+        + eig.eigenvectors.astype("<c16" if complex_vectors else "<f8").tobytes()
+    )
+    assert path.read_bytes() == expected
+
+
+def test_cache_rejects_bad_magic_and_short_header(tmp_path):
+    path = tmp_path / "eig.bin"
+    spectra.save_eigensystem(path, chain_eig(3), key="k")
+    data = path.read_bytes()
+    for corrupt in (b"NOTEIG1" + data[7:], data[:12], b""):
+        path.write_bytes(corrupt)
+        with pytest.raises(spectra.CacheError):
+            spectra.load_eigensystem(path, key="k")
 
 
 def test_cache_rejects_wrong_key(tmp_path):
