@@ -116,9 +116,9 @@ class BathModel:
         return self.coupling.terms[0]
 
     @cached_property
-    def b_eig(self) -> np.ndarray:
+    def b_eig(self) -> spectra.EigenbasisOperator:
         _, site, axis = self.term
-        return spectra.to_eigenbasis(pauli_site_operator(self.bath.L, site, axis), self.eig)
+        return spectra.EigenbasisOperator(pauli_site_operator(self.bath.L, site, axis), self.eig)
 
     @cached_property
     def fit(self) -> thermo.EntropyFit:
@@ -154,9 +154,9 @@ class BathModel:
             freq_bin=float(eth_opts["freq_bin"]),
             min_states=int(eth_opts["min_states"]),
         )
-        psi = states.eigenstate_preparation(self.eig, e0).amplitudes
-        row = psi @ self.b_eig  # row n of B, for that eigenstate n
-        var_b = float(np.sum(np.abs(row) ** 2) - np.real(row @ psi) ** 2)
+        n = int(np.argmax(states.eigenstate_preparation(self.eig, e0).amplitudes))
+        row = self.b_eig[n : n + 1, :][0]  # row n of B, for that eigenstate n
+        var_b = float(np.sum(np.abs(row) ** 2) - np.real(row[n]) ** 2)
         return eth.normalize_spectral_function(table, var_b, beta)
 
     def lindblad(
@@ -166,7 +166,8 @@ class BathModel:
         term's system Pauli, with rates from `table`."""
         s_op = pauli_register_operator(1, 0, self.term[0]).matrix
         psi_e = psi_bath.to_energy_basis(self.eig).amplitudes
-        b_expect = float(np.real(np.vdot(psi_e, self.b_eig @ psi_e)))
+        supp = np.flatnonzero(psi_e)  # <B> from B[supp, supp] alone
+        b_expect = float(np.real(np.vdot(psi_e[supp], self.b_eig[supp, :][:, supp] @ psi_e[supp])))
         kappa = self.coupling.kappa
         effective = dynamics.mean_field_shift(self.system, kappa, b_expect, s_op)
         lowering = dynamics.lowering_operators(effective.hamiltonian, s_op)
@@ -571,14 +572,13 @@ def _run_typicality(cfg: ExperimentConfig, out: str) -> list[str]:
 
 
 def _run_multi_op_rates(cfg: ExperimentConfig, out: str) -> list[str]:
-    # the operators list replaces the coupling term, so model.b_eig stays unbuilt
     model = cfg.model
     paulis = _option(
         cfg.raw, "operators", [[1, "x"], [1, "z"]],
         lambda ops: [pauli_site_operator(model.bath.L, int(site), str(axis)) for site, axis in ops],
     )
     _require(len(paulis) >= 2, f"operators: need at least two, got {len(paulis)}")
-    ops = [spectra.to_eigenbasis(pauli, model.eig) for pauli in paulis]
+    ops = [spectra.EigenbasisOperator(pauli, model.eig) for pauli in paulis]
     e0 = model.e0(cfg.state)
     beta = model.beta(cfg.state, e0)
     matrices = eth.rate_matrix_multi(

@@ -11,14 +11,13 @@ import numpy as np
 
 from .eth import SpectralFunctionTable
 from .hamiltonian import DimensionError, SystemParams
-from .spectra import EigenSystem
+from .spectra import EigenbasisOperator, EigenSystem
 from .states import MicrocanonicalWindow, PureState, typical_microcanonical_state
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 _TIME_CHUNK = 64
-_ROW_BLOCK = 512
 
 
 class NumericalInvariantError(RuntimeError):
@@ -59,10 +58,6 @@ class ReducedTrajectory:
     @property
     def populations(self) -> np.ndarray:
         return np.real(self.rhos[:, 0, 0])
-
-    @property
-    def coherences(self) -> np.ndarray:
-        return np.abs(self.rhos[:, 0, 1])
 
 
 def _make_trajectory(times: np.ndarray, rhos: np.ndarray, provenance: str,
@@ -159,13 +154,12 @@ def build_lindblad(
 ) -> LindbladModel:
     """Attach rates to the Bohr components. rate_function maps omega -> gamma.
 
-    The omega = 0 component is excluded (its rate is negligible for the models
-    considered).
+    The omega = 0 component, the part of the coupling operator diagonal in the
+    system eigenbasis, is kept: its rate 2 pi kappa^2 |f(E0, 0)|^2 dephases the
+    system (the whole effect of a sigma^z coupling).
     """
     jumps = []
     for omega, op in lowering:
-        if omega == 0.0:
-            continue
         gamma = float(rate_function(omega))
         if gamma < 0:
             raise ValueError(f"rate function returned negative rate at omega={omega}")
@@ -323,40 +317,43 @@ class BathCorrelation:
             raise ValueError(f"C(0) = {c0} must be real and nonnegative")
 
 
-def _row_blocked_product(b: np.ndarray, a: np.ndarray, rows: np.ndarray | None = None):
-    """b[rows] @ a (all rows by default), _ROW_BLOCK rows of b at a time: a real b times
-    a complex a casts, and a gather copies, one block of b, never all of it."""
-    n = b.shape[0] if rows is None else rows.size
-    out = np.empty((n,) + a.shape[1:], dtype=np.result_type(b, a))
-    for start in range(0, n, _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        np.matmul(b[block] if rows is None else b[rows[block]], a, out=out[block])
-    return out
+def _dot(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """b @ a; real b times complex a as two real GEMMs, not b cast to complex."""
+    if np.iscomplexobj(b) or not np.iscomplexobj(a):
+        return b @ a
+    return b @ a.real + 1j * (b @ a.imag)
 
 
-def bath_correlation_function(
-    eig: EigenSystem, b_eig: np.ndarray, psi: PureState, grid: TimeGrid,
-    preparation: str = "",
-) -> BathCorrelation:
-    """C(t, 0) = <psi| B(t) B(0) |psi> - <psi|B|psi>^2 as a sum over the support of psi,
-    sum_{i in supp} psi_i^* e^{i E_i t} sum_m B_im e^{-i E_m t} (B psi)_m - <B>^2, at
-    |supp| * D work per time (an eigenstate is a support of size one)."""
-    psi_e = psi.to_energy_basis(eig).amplitudes
-    e = eig.eigenvalues
-    times = grid.times
-    v = _row_blocked_product(b_eig, psi_e)
-    b_mean = float(np.real(np.vdot(psi_e, v)))
-    support = np.nonzero(np.abs(psi_e) > 0)[0]
+def _support_correlation(e: np.ndarray, rows: np.ndarray, support: np.ndarray,
+                         psi_s: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """C(t) of the state with eigenbasis amplitudes psi_s on `support`, from the rows
+    B[support, :]: B psi = (rows^T psi_s^*)^*, as B is Hermitian."""
+    v = _dot(rows.T, psi_s.conj()).conj()
+    b_mean = float(np.real(np.vdot(psi_s, v[support])))
     values = np.empty(times.size, dtype=complex)
     for start in range(0, times.size, _TIME_CHUNK):
         t_chunk = times[start : start + _TIME_CHUNK]
         a = v[:, None] * np.exp(-1j * np.outer(e, t_chunk))
-        ba = _row_blocked_product(b_eig, a, support)
-        u = psi_e[support].conj()[:, None] * np.exp(1j * np.outer(e[support], t_chunk))
-        values[start : start + _TIME_CHUNK] = np.sum(u * ba, axis=0)
-    values = values - b_mean**2
+        u = psi_s.conj()[:, None] * np.exp(1j * np.outer(e[support], t_chunk))
+        values[start : start + _TIME_CHUNK] = np.sum(u * _dot(rows, a), axis=0)
+    return values - b_mean**2
+
+
+def bath_correlation_function(
+    eig: EigenSystem, b_eig: EigenbasisOperator | np.ndarray, psi: PureState,
+    grid: TimeGrid, preparation: str = "",
+) -> BathCorrelation:
+    """C(t, 0) = <psi| B(t) B(0) |psi> - <psi|B|psi>^2 as a sum over the support of psi,
+    sum_{i in supp} psi_i^* e^{i E_i t} sum_m B_im e^{-i E_m t} (B psi)_m - <B>^2, at
+    |supp| * D work per time (an eigenstate is a support of size one). Only the rows
+    B[supp, :] are taken from b_eig."""
+    psi_e = psi.to_energy_basis(eig).amplitudes
+    support = np.flatnonzero(psi_e)
+    values = _support_correlation(
+        eig.eigenvalues, b_eig[support, :], support, psi_e[support], grid.times
+    )
     return BathCorrelation(
-        times=times,
+        times=grid.times,
         values=values,
         variance_at_zero=float(values[0].real),
         preparation=preparation,
@@ -384,11 +381,6 @@ def bcf_from_spectral_function(
 
 
 # -- distances and fits ----------------------------------------------------------
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    diff = rho - sigma
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
 
 
 def trace_distance_series(traj_a: ReducedTrajectory, traj_b: ReducedTrajectory) -> np.ndarray:
@@ -443,10 +435,6 @@ def levy_bound_observable(epsilon: float, window_dim: int, op_norm: float = 1.0)
     return 2.0 * math.exp(-window_dim * epsilon**2 / (18.0 * math.pi**3 * op_norm**2))
 
 
-def levy_bound_bcf(epsilon: float, window_dim: int, op_norm: float = 1.0) -> float:
-    return 4.0 * math.exp(-window_dim * epsilon**2 / (72.0 * op_norm**4))
-
-
 @dataclass(frozen=True)
 class TypicalitySpread:
     window_dim: int
@@ -467,27 +455,31 @@ class TypicalitySpread:
 
 def typicality_spread(
     eig: EigenSystem,
-    b_eig: np.ndarray,
+    b_eig: EigenbasisOperator | np.ndarray,
     window: MicrocanonicalWindow,
     n_samples: int,
     seed: int,
     grid: TimeGrid,
 ) -> TypicalitySpread:
     """Sample typical microcanonical states and measure their deviations from
-    microcanonical averages of <B(t)> and of the BCF."""
+    microcanonical averages of <B(t)> and of the BCF.
+
+    Everything comes from the window's rows B[window, :], fetched once: a typical
+    state's support is the window."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     members = window.members
     d_w = members.size
     e_w = eig.eigenvalues[members]
-    b_win = b_eig[np.ix_(members, members)]
+    rows = b_eig[members, :]
+    b_win = rows[:, members]
     times = grid.times
 
     mc_average = float(np.mean(np.real(np.diagonal(b_win))))
 
     # microcanonical-averaged BCF: mean over window eigenstates of the
     # eigenstate BCF sum_{m != n} |B_nm|^2 e^{i (E_n - E_m) t}
-    p = np.abs(b_eig[members, :]) ** 2
+    p = np.abs(rows) ** 2
     p[np.arange(d_w), members] = 0.0
     phase_w = np.exp(1j * np.outer(e_w, times))
     mc_bcf = np.mean(phase_w * (p @ np.exp(-1j * np.outer(eig.eigenvalues, times))), axis=0)
@@ -499,7 +491,9 @@ def typicality_spread(
         phases = np.exp(-1j * np.outer(e_w, times)) * psi.amplitudes[members, None]
         b_t = np.real(np.einsum("it,ij,jt->t", phases.conj(), b_win, phases))
         devs_b[s] = np.abs(b_t - mc_average)
-        c_t = bath_correlation_function(eig, b_eig, psi, grid).values
+        c_t = _support_correlation(
+            eig.eigenvalues, rows, members, psi.amplitudes[members], times
+        )
         devs_c[s] = np.abs(c_t - mc_bcf)
     return TypicalitySpread(
         window_dim=d_w,

@@ -1,6 +1,8 @@
 """ETH statistics of eigenbasis matrix elements and the dissipation rates they imply.
 
-Everything here consumes an operator already rotated to the energy eigenbasis.
+Everything here consumes an operator in the energy eigenbasis: a
+spectra.EigenbasisOperator, whose blocks are computed on request, or a dense
+ndarray; only the entries each estimate reads are taken from it.
 The binned off-diagonal variance estimate ("spectral function table") is defined
 up to a constant which is fixed by the sum-rule normalization against the
 variance of the bath operator in the prepared state; rates follow from the
@@ -16,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import EigenSystem
+from .spectra import EigenbasisOperator, EigenSystem
+
+_ROW_BLOCK = 128  # rows of B fetched per strip in _bin_pairs
 
 
 class WindowError(ValueError):
@@ -35,7 +39,7 @@ class DiagonalProfile:
 
 
 def diagonal_profile(
-    op_eig: np.ndarray, eig: EigenSystem, central_fraction: float = 0.1
+    op_eig: EigenbasisOperator | np.ndarray, eig: EigenSystem, central_fraction: float = 0.1
 ) -> DiagonalProfile:
     """Diagonal matrix elements vs energy, plus eigenstate-to-eigenstate fluctuation.
 
@@ -49,7 +53,7 @@ def diagonal_profile(
         raise WindowError(f"need at least 20 states for the fluctuation measure, have {n}")
     keep = min(n, max(int(round(n * central_fraction)), 20))
     lo = (n - keep) // 2
-    diag = np.real(np.diagonal(op_eig))
+    diag = np.real(op_eig.diagonal())
     central = diag[lo : lo + keep]
     return DiagonalProfile(
         energies=eig.eigenvalues.copy(),
@@ -95,17 +99,27 @@ class SpectralFunctionTable:
 
 
 def _bin_pairs(
-    mats: list[np.ndarray], eig: EigenSystem, e0: float, window: float, freq_bin: float
+    mats: list[EigenbasisOperator | np.ndarray],
+    eig: EigenSystem, e0: float, window: float, freq_bin: float, min_states: int,
 ):
     """Accumulate products B^mu_nm conj(B^nu_nm) of off-diagonal pairs whose mean
     energy lies in [e0 +/- window/2], binned by omega = E_m - E_n.
 
-    Returns (omegas, counts, sums) with sums shaped (P, P, n_bins) and a
-    symmetric bin grid centered on omega = 0.
+    Rows are taken _ROW_BLOCK at a time: each operator gives the strip of a block's
+    m-range once, and the pairs are binned row by row.
+
+    Returns (n_states, omegas, counts, sums): the eigenstates in the window (at
+    least min_states), and sums shaped (P, P, n_bins) on a bin grid symmetric about
+    omega = 0, with the empty outer bins dropped.
     """
+    e = eig.eigenvalues
+    n_states = int(np.count_nonzero(np.abs(e - e0) <= window / 2.0))
+    if n_states < min_states:
+        raise WindowError(
+            f"window [{e0}±{window / 2}] holds {n_states} eigenstates < floor {min_states}"
+        )
     if freq_bin <= 0:
         raise ValueError("freq_bin must be positive")
-    e = eig.eigenvalues
     lo, hi = e0 - window / 2.0, e0 + window / 2.0
     k_max = int(math.ceil((e[-1] - e[0]) / freq_bin)) + 1
     n_bins = 2 * k_max + 1
@@ -115,46 +129,47 @@ def _bin_pairs(
 
     m_lo = np.searchsorted(e, 2.0 * lo - e, side="left")
     m_hi = np.searchsorted(e, 2.0 * hi - e, side="right")
-    for n in range(eig.dim):
-        a, b = int(m_lo[n]), int(m_hi[n])
-        if b <= a:
+    for r0 in range(0, eig.dim, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, eig.dim)
+        # E is sorted, so m_lo and m_hi fall with n: the block's m-range is one slice
+        c0, c1 = int(m_lo[r1 - 1]), int(m_hi[r0])
+        if c1 <= c0:
             continue
-        sl = slice(a, b)
-        omega = e[sl] - e[n]
-        k = np.rint(omega / freq_bin).astype(np.int64) + k_max
-        rows = [m[n, sl] for m in mats]
-        keep = np.ones(b - a, dtype=bool)
-        if a <= n < b:
-            keep[n - a] = False
-        k = k[keep]
-        counts += np.bincount(k, minlength=n_bins)
-        for i in range(p):
-            ri = rows[i][keep]
-            for j in range(i, p):
-                prod = ri * np.conj(rows[j][keep])
-                sums[i, j] += np.bincount(k, weights=prod.real, minlength=n_bins)
-                if np.iscomplexobj(prod) and i != j:
-                    sums[i, j] += 1j * np.bincount(k, weights=prod.imag, minlength=n_bins)
+        blocks = [m[r0:r1, c0:c1] for m in mats]
+        for n in range(r0, r1):
+            a, b = int(m_lo[n]), int(m_hi[n])
+            if b <= a:
+                continue
+            sl = slice(a, b)
+            omega = e[sl] - e[n]
+            k = np.rint(omega / freq_bin).astype(np.int64) + k_max
+            rows = [blk[n - r0, a - c0 : b - c0] for blk in blocks]
+            keep = np.ones(b - a, dtype=bool)
+            if a <= n < b:
+                keep[n - a] = False
+            k = k[keep]
+            counts += np.bincount(k, minlength=n_bins)
+            for i in range(p):
+                ri = rows[i][keep]
+                for j in range(i, p):
+                    prod = ri * np.conj(rows[j][keep])
+                    sums[i, j] += np.bincount(k, weights=prod.real, minlength=n_bins)
+                    if np.iscomplexobj(prod) and i != j:
+                        sums[i, j] += 1j * np.bincount(k, weights=prod.imag, minlength=n_bins)
     for i in range(p):
         for j in range(i + 1, p):
             sums[j, i] = np.conj(sums[i, j])
-    omegas = freq_bin * (np.arange(n_bins) - k_max)
-    return omegas, counts, sums
-
-
-def _trim_symmetric(omegas, counts, values_list):
-    """Drop empty outer bins, keeping the grid symmetric about omega = 0."""
     hit = np.nonzero(counts > 0)[0]
     if hit.size == 0:
         raise WindowError("all frequency bins are empty")
-    center = (counts.size - 1) // 2
-    reach = max(abs(int(hit[0]) - center), abs(int(hit[-1]) - center))
-    sl = slice(center - reach, center + reach + 1)
-    return omegas[sl], counts[sl], [v[..., sl] for v in values_list]
+    reach = max(abs(int(hit[0]) - k_max), abs(int(hit[-1]) - k_max))
+    sl = slice(k_max - reach, k_max + reach + 1)
+    omegas = freq_bin * (np.arange(n_bins) - k_max)
+    return n_states, omegas[sl], counts[sl], sums[..., sl]
 
 
 def spectral_function(
-    op_eig: np.ndarray,
+    op_eig: EigenbasisOperator | np.ndarray,
     eig: EigenSystem,
     e0: float,
     window: float,
@@ -166,18 +181,11 @@ def spectral_function(
     Per-bin estimate: (states-in-window density) * mean |B_nm|^2 over pairs in
     the bin; the overall constant is fixed later by normalize_spectral_function.
     """
-    e = eig.eigenvalues
-    n_states = int(np.count_nonzero(np.abs(e - e0) <= window / 2.0))
-    if n_states < min_states:
-        raise WindowError(
-            f"window [{e0}±{window / 2}] holds {n_states} eigenstates < floor {min_states}"
-        )
-    omegas, counts, sums = _bin_pairs([op_eig], eig, e0, window, freq_bin)
-    omegas, counts, (sums,) = _trim_symmetric(omegas, counts, [sums[0, 0]])
+    n_states, omegas, counts, sums = _bin_pairs([op_eig], eig, e0, window, freq_bin, min_states)
     density = n_states / window
     raw = np.zeros_like(omegas)
     filled = counts > 0
-    raw[filled] = density * sums[filled].real / counts[filled]
+    raw[filled] = density * sums[0, 0, filled].real / counts[filled]
     sym = _symmetrize(raw, counts)
     return SpectralFunctionTable(
         e0=e0, window=window, freq_bin=freq_bin, n_states=n_states,
@@ -252,7 +260,7 @@ class SpectralDerivative:
 
 
 def spectral_function_energy_derivative(
-    op_eig: np.ndarray,
+    op_eig: EigenbasisOperator | np.ndarray,
     eig: EigenSystem,
     table: SpectralFunctionTable,
     delta_e: float,
@@ -265,14 +273,11 @@ def spectral_function_energy_derivative(
     """
     if table.normalization is None:
         raise ValueError("normalize the central table before differentiating")
-    shifted = []
-    for sign in (-1.0, 1.0):
-        t = spectral_function(
-            op_eig, eig, table.e0 + sign * delta_e, table.window, table.freq_bin,
-            min_states=min_states,
-        )
-        shifted.append(t)
-    lo, hi = shifted
+    lo, hi = (
+        spectral_function(op_eig, eig, table.e0 + sign * delta_e, table.window,
+                          table.freq_bin, min_states=min_states)
+        for sign in (-1.0, 1.0)
+    )
     # the shifted tables live on their own trimmed grids; evaluate everything
     # on the central bins covered by both shifted supports
     lo_x = lo.omegas[lo.filled]
@@ -315,13 +320,6 @@ def finite_size_transition_rate(
     return 2.0 * math.pi * kappa**2 * math.exp(exponent) * bracket
 
 
-def caldeira_leggett_density(
-    table: SpectralFunctionTable, beta: float, omega: float
-) -> float:
-    """Equivalent Caldeira-Leggett spectral density 2 pi sinh(beta omega / 2) |f|^2."""
-    return 2.0 * math.pi * math.sinh(beta * omega / 2.0) * table.value_at(abs(omega))
-
-
 @dataclass(frozen=True)
 class RateMatrix:
     """Hermitized cross-operator rate matrix at one frequency bin."""
@@ -336,7 +334,7 @@ class RateMatrix:
 
 
 def rate_matrix_multi(
-    op_eigs: list[np.ndarray],
+    op_eigs: list[EigenbasisOperator | np.ndarray],
     eig: EigenSystem,
     e0: float,
     window: float,
@@ -353,14 +351,7 @@ def rate_matrix_multi(
     """
     if len(op_eigs) < 2:
         raise ValueError("need at least two operators; use spectral_function for one")
-    e = eig.eigenvalues
-    n_states = int(np.count_nonzero(np.abs(e - e0) <= window / 2.0))
-    if n_states < min_states:
-        raise WindowError(
-            f"window [{e0}±{window / 2}] holds {n_states} eigenstates < floor {min_states}"
-        )
-    omegas, counts, sums = _bin_pairs(op_eigs, eig, e0, window, freq_bin)
-    omegas, counts, (sums,) = _trim_symmetric(omegas, counts, [sums])
+    n_states, omegas, counts, sums = _bin_pairs(op_eigs, eig, e0, window, freq_bin, min_states)
     density = n_states / window
     prefactor = 2.0 * math.pi * kappa**2
     out = []

@@ -14,7 +14,7 @@ from .hamiltonian import DimensionError, HermitianOperator, SignedPermutation
 
 _CACHE_MAGIC = b"ETHEIG1"
 _HEADER_BYTES = 48
-_BLOCK = 512  # rows of B per GEMM in to_eigenbasis
+_BLOCK = 512  # rows of B per GEMM in eigenbasis_block
 
 
 class EigensolverError(RuntimeError):
@@ -37,10 +37,6 @@ class EigenSystem:
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
-    @property
-    def bandwidth(self) -> float:
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude component positive real."""
@@ -60,40 +56,57 @@ def diagonalize(H: HermitianOperator) -> EigenSystem:
     return EigenSystem(eigenvalues=evals, eigenvectors=_fix_signs(evecs), dim=H.dim)
 
 
-def to_eigenbasis(
-    op: HermitianOperator | SignedPermutation | np.ndarray, eig: EigenSystem
+def eigenbasis_block(
+    op: SignedPermutation, eig: EigenSystem, rows: slice | np.ndarray, cols: slice
 ) -> np.ndarray:
-    """V^dagger op V for a Hermitian op, computed on its upper block-triangle.
+    """B[rows, cols] of B = V^dagger op V for a signed permutation op; rows is a slice
+    or a sorted index array, cols a slice.
 
-    Rows I of the result, from column I0 = I[0] on, are (op V[:, I])^dagger
-    V[:, I0:]: one GEMM per block of _BLOCK rows, about half the flops of the
-    full product. The strict lower triangle is the exact conjugate mirror of the
-    upper one. The left factor is that of the full product v.conj().T @ op @ v
-    (for a signed permutation, a gather of V's rows; no dense op is built), so
-    the upper triangle has that product's bits.
+    B_ij = sum_k conj(V[perm[k], i]) phase[k] V[k, j]: the left factor is a gather of
+    V's rows (no dense op is built), one GEMM per _BLOCK rows. For sigma^y (phase +-i)
+    on a real eigenbasis, the real GEMM of phase.imag fills the imaginary part of B
+    and its real part is exactly 0, instead of a complex GEMM on V cast to complex.
     """
-    v = eig.eigenvectors
-    if isinstance(op, SignedPermutation):
-        if op.perm.shape != (eig.dim,):
-            raise DimensionError(f"operator dim {op.perm.size} != eigensystem dim {eig.dim}")
-        left = lambda rows: (v[op.perm, rows].conj() * op.phase[:, None]).T
-        dtype = np.result_type(v, op.phase)
-    else:
-        m = op.matrix if isinstance(op, HermitianOperator) else op
-        if m.shape != (eig.dim, eig.dim):
-            raise DimensionError(f"operator shape {m.shape} != eigensystem dim {eig.dim}")
-        left = lambda rows: v[:, rows].conj().T @ m
-        dtype = np.result_type(v, m)
-    out = np.empty((eig.dim, eig.dim), dtype)
-    for i0 in range(0, eig.dim, _BLOCK):
-        i1 = min(i0 + _BLOCK, eig.dim)
-        band = out[i0:i1, i0:]
-        np.matmul(left(slice(i0, i1)), v[:, i0:], out=band)
-        np.conjugate(band[:, i1 - i0 :].T, out=out[i1:, i0:i1])
-        diag = band[:, : i1 - i0]
-        lower = np.tril_indices(i1 - i0, -1)
-        diag[lower] = diag.T[lower].conj()
+    v, phase = eig.eigenvectors, op.phase
+    idx = range(eig.dim)[rows] if isinstance(rows, slice) else rows
+    right = v[:, cols]
+    out = dest = np.zeros((len(idx), right.shape[1]), np.result_type(v, phase))
+    if not np.iscomplexobj(v) and np.iscomplexobj(phase) and not phase.real.any():
+        dest, phase = out.imag, phase.imag
+    for b0 in range(0, len(idx), _BLOCK):
+        sub = idx[b0 : b0 + _BLOCK]
+        if isinstance(sub, range):
+            gathered = v[op.perm, sub.start : sub.stop : sub.step]
+        else:
+            gathered = v[np.ix_(op.perm, sub)]
+        dest[b0 : b0 + len(sub)] = (gathered.conj() * phase[:, None]).T @ right
     return out
+
+
+@dataclass(frozen=True)
+class EigenbasisOperator:
+    """B = V^dagger op V of a signed permutation op, computed by block on request and
+    nothing when built. B[rows, cols] and B.diagonal() index it as an ndarray."""
+
+    op: SignedPermutation = field(repr=False)
+    eig: EigenSystem = field(repr=False)
+
+    def __post_init__(self):
+        if self.op.perm.shape != (self.eig.dim,):
+            raise DimensionError(f"operator dim {self.op.perm.size} != dim {self.eig.dim}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.eig.dim, self.eig.dim)
+
+    def __getitem__(self, key: tuple[slice | np.ndarray, slice]) -> np.ndarray:
+        return eigenbasis_block(self.op, self.eig, *key)
+
+    def diagonal(self) -> np.ndarray:
+        """B_ii = sum_k conj(V[perm[k], i]) phase[k] V[k, i], in O(D^2) work."""
+        v, perm, phase = self.eig.eigenvectors, self.op.perm, self.op.phase
+        chunks = (slice(k, k + _BLOCK) for k in range(0, self.eig.dim, _BLOCK))
+        return sum(np.einsum("ki,ki->i", v[perm[k]].conj() * phase[k, None], v[k]) for k in chunks)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import pytest
 
 from ethbath import dynamics, eth, states, thermo
 from ethbath.hamiltonian import SystemParams, pauli_site_operator
-from ethbath.spectra import EigenSystem, gap_ratios, to_eigenbasis
+from ethbath.spectra import EigenbasisOperator, EigenSystem, gap_ratios
 
 OMEGA0 = 1.525
 KAPPA = 0.15
@@ -342,7 +342,7 @@ def test_criterion_11_rate_matrix(model):
 
     # chaotic L=12, two coupling operators: near-positive rate matrices
     m = model(12, "chaotic")
-    bz = to_eigenbasis(pauli_site_operator(12, 1, "z"), m.eig)
+    bz = EigenbasisOperator(pauli_site_operator(12, 1, "z"), m.eig)
     real_tables = eth.rate_matrix_multi(
         [m.b_eig, bz], m.eig, m.e0({"beta": 0.1}), WINDOW, FREQ_BIN["chaotic"], KAPPA, 0.1
     )

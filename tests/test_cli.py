@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from ethbath import cli, spectra
+from ethbath import cli, dynamics, spectra
 from ethbath.hamiltonian import HermitianOperator, SignedPermutation
 
 
@@ -150,27 +151,42 @@ def test_validate_warns_on_explicit_energy_outside_fit_domain(config_file, tmp_p
 
 
 def test_bath_side_builds_no_dense_pauli(config_file, tmp_path, cache_dir, monkeypatch):
-    # B_nm comes from the signed permutation of the bath Pauli, never a 2^L x 2^L matrix
-    cfg_path = config_file(base_config(operators=[[1, "x"], [3, "y"], [6, "z"]]))
+    # B_nm comes from the signed permutation of the bath Pauli, never a 2^L x 2^L matrix,
+    # and each kind computes only the blocks of B it reads, never all D rows of it
+    L, dim = 10, 2**10
+    cfg = base_config(
+        bath={"L": L, "preset": "chaotic"},
+        state={"kind": "typical_mc", "beta": 0.0, "deltaE": 0.4},
+        grid={"t_max": 2.0, "dt": 0.5},
+        eth={"window": 0.5, "freq_bin": 0.05, "min_states": 15},
+        operators=[[1, "x"], [3, "y"], [10, "z"]],
+        typicality={"n_samples": 3},
+    )
+    cfg_path = config_file(cfg)
     assert run_kind("thermo", cfg_path, tmp_path / "warm", cache_dir) == 0
-    transformed, dims = [], []
-    to_eigenbasis, post_init = spectra.to_eigenbasis, HermitianOperator.__post_init__
+    requests, dims = [], []
+    block, post_init = spectra.eigenbasis_block, HermitianOperator.__post_init__
 
-    def spy_transform(op, eig):
-        transformed.append(op)
-        return to_eigenbasis(op, eig)
+    def spy_block(op, eig, rows, cols):
+        out = block(op, eig, rows, cols)
+        requests.append((kind, op, out.shape))
+        return out
 
     def spy_post_init(self):
         dims.append(self.dim)
         post_init(self)
 
-    monkeypatch.setattr(spectra, "to_eigenbasis", spy_transform)
+    monkeypatch.setattr(spectra, "eigenbasis_block", spy_block)
     monkeypatch.setattr(HermitianOperator, "__post_init__", spy_post_init)
-    for kind in ("multi-op-rates", "eth-stats"):  # eth-stats reads BathModel.b_eig
+    kinds = ("eth-stats", "rates", "bcf", "typicality", "validate", "multi-op-rates")
+    for kind in kinds:
         assert run_kind(kind, cfg_path, tmp_path / kind, cache_dir) == 0
-    assert len(transformed) == 4
-    assert all(isinstance(op, SignedPermutation) for op in transformed)
-    assert 2**6 not in dims
+    assert {k for k, _, _ in requests} == set(kinds)
+    assert all(isinstance(op, SignedPermutation) for _, op, _ in requests)
+    assert all(shape[0] < dim for _, _, shape in requests)
+    eth_stats = sum(r * c for k, _, (r, c) in requests if k == "eth-stats")
+    assert eth_stats < dim**2 / 3, eth_stats / dim**2
+    assert 2**L not in dims
 
 
 # small enough to run every kind on the L=6 base config
@@ -200,6 +216,31 @@ def test_sigma_z_coupling_predicts_no_relaxation(config_file, tmp_path, cache_di
     assert run_kind("dynamics", config_file(cfg), out, cache_dir) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["gamma_pop_prediction"] == 0
+
+
+def test_sigma_z_coupling_dephases_on_the_lindblad_side(config_file, tmp_path, cache_dir):
+    # the omega = 0 Bohr component carries the dephasing of a sigma^z coupling, at the
+    # rate 2 pi kappa^2 |f(E0, 0)|^2, as the exact |rho01| decays from 0.5 to 0.3 by t = 40
+    cfg = base_config(
+        bath={"L": 8, "preset": "chaotic"},
+        coupling={"kappa": 0.15, "terms": [["z", 1, "x"]]},
+        state={"kind": "eigenstate", "beta": 0.0, "deltaE": 0.4, "system": "superposition"},
+        grid={"t_max": 40.0, "dt": 0.5},
+    )
+    out = tmp_path / "out"
+    assert run_kind("dynamics", config_file(cfg), out, cache_dir) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["gamma_pop_prediction"] == 0
+    assert summary["avg_trace_distance"] < 0.1
+
+    parsed = cli.parse_config("dynamics", cfg, str(out), cache_dir, None)
+    model, state = parsed.model, parsed.state
+    e0 = model.e0(state)
+    table = model.table(e0, 0.0, parsed.eth_opts)
+    lindblad, _ = model.lindblad(table, 0.0, model.prepare(state, e0, 0))
+    assert lindblad.rate_at(0.0) == pytest.approx(2 * np.pi * 0.15**2 * table.value_at(0.0))
+    traj = dynamics.lindblad_evolve_sampled(lindblad, np.full((2, 2), 0.5), parsed.grid)
+    assert abs(traj.rhos[-1, 0, 1]) < 0.4
 
 
 @pytest.mark.parametrize(

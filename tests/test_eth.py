@@ -136,13 +136,6 @@ def test_local_detailed_balance_is_algebraic(beta, omega):
     assert fwd == pytest.approx(math.exp(beta * omega) * bwd, rel=1e-12)
 
 
-def test_caldeira_leggett_density_pinned_value():
-    # 2*pi*sinh(beta*omega/2) at beta=0.1, omega=1.525 with |f|^2 = 1
-    table = _unit_table(beta=0.1)
-    got = eth.caldeira_leggett_density(table, beta=0.1, omega=1.525)
-    assert got == pytest.approx(0.4795572606398409, rel=1e-10)
-
-
 def test_finite_size_rate_reduces_to_leading_order():
     table = _unit_table(beta=0.1)
     deriv = eth.SpectralDerivative(omegas=table.omegas, values=np.zeros(41), delta_e=1.0)
@@ -182,3 +175,57 @@ def test_rate_matrix_duplicate_operator_is_rank_one():
         assert m.eigenvalues[0] == pytest.approx(0.0, abs=1e-12 * max(1.0, m.eigenvalues[1]))
         assert m.min_eigenvalue >= -1e-12 * max(1.0, m.eigenvalues[1])
         np.testing.assert_allclose(m.clipped_eigenvalues, np.clip(m.eigenvalues, 0, None))
+
+
+def bin_pairs_per_row(mats, eig, e0, window, freq_bin):
+    """Reference: _bin_pairs as one loop over rows n, each slicing row n of every
+    operator to the m-range of its pairs."""
+    e = eig.eigenvalues
+    lo, hi = e0 - window / 2.0, e0 + window / 2.0
+    k_max = int(math.ceil((e[-1] - e[0]) / freq_bin)) + 1
+    n_bins = 2 * k_max + 1
+    p = len(mats)
+    sums = np.zeros((p, p, n_bins), dtype=complex)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    m_lo = np.searchsorted(e, 2.0 * lo - e, side="left")
+    m_hi = np.searchsorted(e, 2.0 * hi - e, side="right")
+    for n in range(eig.dim):
+        a, b = int(m_lo[n]), int(m_hi[n])
+        if b <= a:
+            continue
+        sl = slice(a, b)
+        k = np.rint((e[sl] - e[n]) / freq_bin).astype(np.int64) + k_max
+        rows = [m[n, sl] for m in mats]
+        keep = np.ones(b - a, dtype=bool)
+        if a <= n < b:
+            keep[n - a] = False
+        k = k[keep]
+        counts += np.bincount(k, minlength=n_bins)
+        for i in range(p):
+            ri = rows[i][keep]
+            for j in range(i, p):
+                prod = ri * np.conj(rows[j][keep])
+                sums[i, j] += np.bincount(k, weights=prod.real, minlength=n_bins)
+                if np.iscomplexobj(prod) and i != j:
+                    sums[i, j] += 1j * np.bincount(k, weights=prod.imag, minlength=n_bins)
+    for i in range(p):
+        for j in range(i + 1, p):
+            sums[j, i] = np.conj(sums[i, j])
+    return freq_bin * (np.arange(n_bins) - k_max), counts, sums
+
+
+@pytest.mark.parametrize("e0, window", [(0.0, 2.0), (-3.6, 1.0), (3.9, 0.3), (0.7, 8.0)])
+def test_bin_pairs_by_strips_equals_per_row_loop(e0, window):
+    # 400 states: three full 128-row strips and a short one, windows at the edges too
+    eig = synthetic_eigensystem()
+    rng = np.random.default_rng(5)
+    complex_op = synthetic_operator(eig, lambda w: np.exp(-w), rng=rng)
+    real_op = rng.standard_normal((eig.dim, eig.dim))
+    real_op = real_op + real_op.T
+    mats = [complex_op, real_op]
+    _, omegas, counts, sums = eth._bin_pairs(mats, eig, e0, window, 0.1, min_states=1)
+    all_omegas, all_counts, all_sums = bin_pairs_per_row(mats, eig, e0, window, 0.1)
+    kept = np.isin(all_omegas, omegas)  # the symmetric grid without its empty outer bins
+    assert np.array_equal(all_omegas[kept], omegas) and not all_counts[~kept].any()
+    assert np.array_equal(all_counts[kept], counts)
+    assert np.array_equal(all_sums[..., kept], sums)
