@@ -435,7 +435,7 @@ def _run_dynamics(cfg: ExperimentConfig, out: str) -> list[str]:
     rho0 = np.outer(psi_sys.amplitudes, psi_sys.amplitudes.conj())
 
     lindblad, effective = model.lindblad(model.table(e0, beta, cfg.eth_opts), beta, psi_bath)
-    lind = dynamics.lindblad_evolve_sampled(lindblad, rho0, cfg.grid)
+    lind = dynamics.lindblad_evolve(lindblad, rho0, cfg.grid)
     exact = model.exact_evolve(psi_sys, psi_bath, cfg.grid)
 
     tdist = dynamics.trace_distance_series(exact, lind)
@@ -496,25 +496,30 @@ def _run_scaling(cfg: ExperimentConfig, out: str) -> list[str]:
     t_final = _option(cfg.raw, "scaling.t_final", cfg.grid.t_max, float)
     _require(t_final <= cfg.grid.t_max, "scaling.t_final exceeds grid.t_max")
 
-    # Lindblad reference from the largest bath in the sweep
+    # Lindblad reference from the largest bath in the sweep, one table for every kind
     ref = replace(cfg.model, bath=max(baths, key=lambda b: b.L))
     e0_ref = ref.e0(cfg.state)
     beta = ref.beta(cfg.state, e0_ref)
+    table = ref.table(e0_ref, beta, cfg.eth_opts)
     psi_sys = states.system_initial_state(cfg.state.get("system", "polarized"))
     rho0 = np.outer(psi_sys.amplitudes, psi_sys.amplitudes.conj())
+    linds = {}
+    for kind in state_kinds:
+        psi_ref = ref.prepare(dict(cfg.state, kind=kind), e0_ref, cfg.seed)
+        lindblad, _ = ref.lindblad(table, beta, psi_ref)
+        linds[kind] = dynamics.lindblad_evolve(lindblad, rho0, cfg.grid)
 
-    rows = []
-    for state_kind in state_kinds:
-        state = dict(cfg.state, kind=state_kind)
-        psi_ref = ref.prepare(state, e0_ref, cfg.seed)
-        lindblad, _ = ref.lindblad(ref.table(e0_ref, beta, cfg.eth_opts), beta, psi_ref)
-        lind = dynamics.lindblad_evolve_sampled(lindblad, rho0, cfg.grid)
-        for bath in baths:
-            model = replace(cfg.model, bath=bath)
+    # bath-major, so each bath is diagonalized once and only one bath's
+    # eigensystems (besides the reference's) are held at a time
+    avg = {}
+    for bath in baths:
+        model = ref if bath == ref.bath else replace(cfg.model, bath=bath)
+        for kind in state_kinds:
+            state = dict(cfg.state, kind=kind)
             psi_bath = model.prepare(state, model.e0(state), cfg.seed)
             exact = model.exact_evolve(psi_sys, psi_bath, cfg.grid)
-            avg = dynamics.time_averaged_trace_distance(exact, lind, t_final)
-            rows.append((bath.L, avg, state_kind))
+            avg[bath.L, kind] = dynamics.time_averaged_trace_distance(exact, linds[kind], t_final)
+    rows = [(bath.L, avg[bath.L, kind], kind) for kind in state_kinds for bath in baths]
     path = os.path.join(out, "scaling.csv")
     _write_csv(path, "L,avg_trace_distance,state_kind", rows)
     return [path]

@@ -25,7 +25,8 @@ class NumericalInvariantError(RuntimeError):
 
 
 class GridError(ValueError):
-    """Time grids incompatible or step size violating an integrator bound."""
+    """A malformed time grid, or a trajectory grid that differs from another or ends
+    too early."""
 
 
 @dataclass(frozen=True)
@@ -185,54 +186,20 @@ def _liouvillian(model: LindbladModel) -> np.ndarray:
     return lio
 
 
-def max_stable_dt(model: LindbladModel) -> float:
-    evals = np.linalg.eigvalsh(model.hamiltonian)
-    omega = float(evals[-1] - evals[0])
-    scale = max(omega, model.gamma_pop)
-    return math.inf if scale == 0 else 0.01 / scale
-
-
 def lindblad_evolve(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid) -> ReducedTrajectory:
-    """Fixed-step classical RK4 integration of the Lindblad master equation.
+    """Exact Lindblad dynamics rho(t) = e^{Lt} rho(0) at the grid times.
 
-    The step must satisfy dt <= 0.01 / max(omega0', gamma_pop); no trace
-    renormalization is performed, deviations are reported on the trajectory.
+    Every jump is an eigenoperator of H, so L splits into a 2x2 population block
+    and two decoupled coherences and is diagonalizable: with L = V diag(w) V^-1 and
+    c = V^-1 vec(rho0), vec(rho(t)) = V (e^{wt} * c). There is no time step and no
+    step bound; no trace renormalization is performed, deviations are reported on
+    the trajectory.
     """
     _check_density_matrix(rho0)
-    bound = max_stable_dt(model)
-    if grid.dt > bound:
-        raise GridError(f"dt={grid.dt} exceeds the RK4 bound {bound:.3g}")
-    lio = _liouvillian(model)
-    y = rho0.astype(complex).reshape(4)
-    out = np.empty((grid.count, 4), dtype=complex)
-    out[0] = y
-    dt = grid.dt
-    for i in range(1, grid.count):
-        k1 = lio @ y
-        k2 = lio @ (y + 0.5 * dt * k1)
-        k3 = lio @ (y + 0.5 * dt * k2)
-        k4 = lio @ (y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i] = y
+    w, v = np.linalg.eig(_liouvillian(model))
+    c = np.linalg.solve(v, rho0.astype(complex).reshape(4))
+    out = (np.exp(np.outer(grid.times, w)) * c) @ v.T
     return _make_trajectory(grid.times, out.reshape(-1, 2, 2), "lindblad")
-
-
-def lindblad_evolve_sampled(
-    model: LindbladModel, rho0: np.ndarray, grid: TimeGrid
-) -> ReducedTrajectory:
-    """Integrate at a compliant substep, then record on the (coarser) grid."""
-    bound = max_stable_dt(model)
-    n_sub = max(1, int(math.ceil(grid.dt / bound)))
-    fine = TimeGrid(t_max=grid.t_max, dt=grid.dt / n_sub)
-    traj = lindblad_evolve(model, rho0, fine)
-    return ReducedTrajectory(
-        times=grid.times,
-        rhos=traj.rhos[::n_sub].copy(),
-        provenance="lindblad",
-        max_trace_dev=traj.max_trace_dev,
-        max_herm_dev=traj.max_herm_dev,
-        min_eigenvalue=traj.min_eigenvalue,
-    )
 
 
 def _check_density_matrix(rho: np.ndarray, tol: float = 1e-8) -> None:
@@ -412,7 +379,8 @@ def fit_exponential_rate(
     `floor` times its initial value (roughly the first three e-foldings).
 
     Returns (rate, rms residual in log units); non-monotone data is reported
-    through the residual rather than failing.
+    through the residual rather than failing, but a rate <= 0 (a deviation that
+    does not decay) is a ValueError.
     """
     dev = np.abs(np.asarray(values, float) - asymptote)
     if dev[0] <= 0:
@@ -424,6 +392,9 @@ def fit_exponential_rate(
     t = np.asarray(times, float)[:cutoff]
     logs = np.log(dev[:cutoff])
     slope, intercept = np.polyfit(t, logs, 1)
+    if slope >= 0:
+        raise ValueError(f"fitted rate {-slope:.3g} <= 0: the deviation from "
+                         f"{asymptote:.6g} does not decay")
     residual = float(np.sqrt(np.mean((slope * t + intercept - logs) ** 2)))
     return -float(slope), residual
 

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ethbath import cli, dynamics, spectra
+from ethbath import cli, dynamics, eth, spectra
 from ethbath.hamiltonian import HermitianOperator, SignedPermutation
 
 
@@ -189,6 +192,45 @@ def test_bath_side_builds_no_dense_pauli(config_file, tmp_path, cache_dir, monke
     assert 2**L not in dims
 
 
+def test_scaling_diagonalizes_each_hamiltonian_once(config_file, tmp_path, monkeypatch):
+    # with no cache, a repeated eigendecomposition is a repeated eigh, not a disk read
+    monkeypatch.delenv("ETHBATH_CACHE", raising=False)
+    cfg = base_config(
+        bath={"L": 8, "preset": "chaotic"},
+        scaling={"L_values": [6, 7, 8], "state_kinds": ["eigenstate", "typical_mc"],
+                 "t_final": 10.0},
+    )
+    hashes, tables = [], []
+    diagonalize, spectral_function = spectra.diagonalize, eth.spectral_function
+
+    def spy_diagonalize(H):
+        hashes.append(hashlib.sha256(H.matrix.tobytes()).hexdigest())
+        return diagonalize(H)
+
+    def spy_spectral_function(*args, **kwargs):
+        tables.append(args)
+        return spectral_function(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "diagonalize", spy_diagonalize)
+    monkeypatch.setattr(eth, "spectral_function", spy_spectral_function)
+    out = tmp_path / "out"
+    assert cli.main(["scaling", "--config", config_file(cfg), "--out", str(out)]) == 0
+    assert len((out / "scaling.csv").read_text().splitlines()) == 7
+    assert len(hashes) == 6 and len(set(hashes)) == 6  # bath and total H at each L
+    assert len(tables) == 1
+
+
+def test_readme_example_config_runs(tmp_path, cache_dir):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(block)
+    for kind in ("validate", "eth-stats", "dynamics"):
+        assert run_kind(kind, str(cfg_path), tmp_path / kind, cache_dir) == 0, kind
+    report = json.loads((tmp_path / "validate" / "validate.json").read_text())
+    assert report["warnings"] == []
+
+
 # small enough to run every kind on the L=6 base config
 KIND_EXTRAS = {
     "scaling": {"scaling": {"L_values": [6], "state_kinds": ["eigenstate"], "t_final": 10.0}},
@@ -239,7 +281,7 @@ def test_sigma_z_coupling_dephases_on_the_lindblad_side(config_file, tmp_path, c
     table = model.table(e0, 0.0, parsed.eth_opts)
     lindblad, _ = model.lindblad(table, 0.0, model.prepare(state, e0, 0))
     assert lindblad.rate_at(0.0) == pytest.approx(2 * np.pi * 0.15**2 * table.value_at(0.0))
-    traj = dynamics.lindblad_evolve_sampled(lindblad, np.full((2, 2), 0.5), parsed.grid)
+    traj = dynamics.lindblad_evolve(lindblad, np.full((2, 2), 0.5), parsed.grid)
     assert abs(traj.rhos[-1, 0, 1]) < 0.4
 
 

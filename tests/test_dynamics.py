@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from ethbath import dynamics, spectra, states
 from ethbath.hamiltonian import (
@@ -55,7 +56,7 @@ def test_analytic_two_level_relaxation():
     model = two_level_model(gamma_down=gd, gamma_up=gu)
     grid = dynamics.TimeGrid(t_max=120.0, dt=0.05)
     rho0 = np.diag([1.0, 0.0])
-    traj = dynamics.lindblad_evolve_sampled(model, rho0, grid)
+    traj = dynamics.lindblad_evolve(model, rho0, grid)
     gamma_pop = gd + gu
     p_inf = gu / gamma_pop
     expected = p_inf + (1.0 - p_inf) * np.exp(-gamma_pop * grid.times)
@@ -66,7 +67,7 @@ def test_stationary_state_detailed_balance():
     gd, gu = 0.05, 0.02
     model = two_level_model(gamma_down=gd, gamma_up=gu)
     grid = dynamics.TimeGrid(t_max=2000.0, dt=50.0)
-    traj = dynamics.lindblad_evolve_sampled(model, np.diag([1.0, 0.0]), grid)
+    traj = dynamics.lindblad_evolve(model, np.diag([1.0, 0.0]), grid)
     pe, pg = traj.populations[-1], 1.0 - traj.populations[-1]
     assert pe / pg == pytest.approx(gu / gd, abs=1e-12)
 
@@ -76,25 +77,56 @@ def test_coherence_decays_at_half_population_rate():
     model = two_level_model(gamma_down=gd, gamma_up=gu)
     grid = dynamics.TimeGrid(t_max=100.0, dt=0.05)
     plus = np.full((2, 2), 0.5)
-    traj = dynamics.lindblad_evolve_sampled(model, plus, grid)
+    traj = dynamics.lindblad_evolve(model, plus, grid)
     rate, residual = dynamics.fit_exponential_rate(traj.times, np.abs(traj.rhos[:, 0, 1]), 0.0)
     assert rate == pytest.approx((gd + gu) / 2.0, rel=1e-3)
     assert residual < 1e-3
 
 
-def test_rk4_preserves_invariants():
+def test_propagator_preserves_invariants():
     model = two_level_model()
-    grid = dynamics.TimeGrid(t_max=50.0, dt=0.005)
+    grid = dynamics.TimeGrid(t_max=50.0, dt=5.0)
     traj = dynamics.lindblad_evolve(model, np.diag([0.7, 0.3]), grid)
     assert traj.max_trace_dev < 1e-10
     assert traj.max_herm_dev < 1e-10
     assert traj.min_eigenvalue > -1e-10
 
 
-def test_dt_stability_guard():
-    model = two_level_model()
-    with pytest.raises(dynamics.GridError):
-        dynamics.lindblad_evolve(model, np.diag([1.0, 0.0]), dynamics.TimeGrid(100.0, 5.0))
+@pytest.mark.parametrize("t_max, dt", [(2000.0, 50.0), (120.0, 5.0)])
+def test_propagator_meets_two_level_closed_forms_at_coarse_steps(t_max, dt):
+    gd, gu = 0.05, 0.02
+    model = two_level_model(gamma_down=gd, gamma_up=gu)
+    grid = dynamics.TimeGrid(t_max=t_max, dt=dt)
+    traj = dynamics.lindblad_evolve(model, np.diag([1.0, 0.0]), grid)
+    p_inf = gu / (gd + gu)
+    expected = p_inf + (1.0 - p_inf) * np.exp(-(gd + gu) * grid.times)
+    assert np.max(np.abs(traj.populations - expected)) < 1e-10
+
+
+def test_propagator_matches_matrix_exponential_with_dephasing():
+    # mean-field-shifted sigma^x coupling: Bohr components at +-omega' and at 0
+    eff = dynamics.mean_field_shift(SystemParams(1.525), 0.15, b_expect=0.3)
+    lowering = dynamics.lowering_operators(eff.hamiltonian)
+    assert sorted(w == 0.0 for w, _ in lowering) == [False, False, True]
+    model = dynamics.build_lindblad(eff, lowering, lambda w: 0.035 + 0.015 * np.sign(w))
+    rho0 = np.array([[0.6, 0.2 - 0.3j], [0.2 + 0.3j, 0.4]])
+    grid = dynamics.TimeGrid(t_max=200.0, dt=2.5)
+    traj = dynamics.lindblad_evolve(model, rho0, grid)
+    lio = dynamics._liouvillian(model)
+    for t, rho in zip(grid.times, traj.rhos):
+        np.testing.assert_allclose(rho.reshape(4), expm(lio * t) @ rho0.reshape(4), rtol=0,
+                                   atol=1e-11)
+
+
+def test_fast_pure_dephasing_has_no_step_bound():
+    # a sigma^z jump at omega = 0 with rate g takes |rho01| from 1/2 to e^{-2 g t} / 2
+    h = (1.525 / 2.0) * SZ
+    model = dynamics.LindbladModel(hamiltonian=h, jumps=((0.0, SZ, 300.0),))
+    grid = dynamics.TimeGrid(t_max=0.05, dt=0.005)
+    traj = dynamics.lindblad_evolve(model, np.full((2, 2), 0.5), grid)
+    np.testing.assert_allclose(np.abs(traj.rhos[:, 0, 1]), 0.5 * np.exp(-600.0 * grid.times),
+                               rtol=1e-10, atol=0)
+    np.testing.assert_allclose(traj.populations, 0.5, rtol=0, atol=1e-14)
 
 
 @settings(max_examples=20, deadline=None)
@@ -225,6 +257,13 @@ def test_fit_exponential_rate_recovers_synthetic_decay():
     rate, residual = dynamics.fit_exponential_rate(t, y, 0.3)
     assert rate == pytest.approx(0.12, rel=1e-6)
     assert residual < 1e-9
+
+
+def test_fit_exponential_rate_rejects_a_growing_series():
+    t = np.linspace(0.0, 50.0, 400)
+    y = 0.3 + 0.1 * np.exp(0.01 * t)
+    with pytest.raises(ValueError, match="<= 0"):
+        dynamics.fit_exponential_rate(t, y, 0.3)
 
 
 def test_fit_exponential_rate_needs_enough_points():
